@@ -33,7 +33,6 @@ std::string g_capture_out;
 std::string g_perf_out;
 SimTime g_sample_interval = 0;
 int g_jobs = 1;
-int g_threads = 0;  // --threads: LP scheduler workers per testbed (0 = legacy)
 std::unique_ptr<Auditor> g_auditor;
 FlowStatsSink g_flow_sink;
 std::vector<std::pair<std::string, double>> g_perf_extras;
@@ -107,7 +106,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
   std::string capture_runs = "1";
   std::string sample_interval_us = "0";
   std::string jobs = "1";
-  std::string threads = "0";
   std::string fault_plan_path;
   std::string audit_mode;
   std::string postmortem_stem;
@@ -123,7 +121,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
         TakeFlag(argv[i], "--capture-runs", &capture_runs) ||
         TakeFlag(argv[i], "--sample-interval-us", &sample_interval_us) ||
         TakeFlag(argv[i], "--jobs", &jobs) ||
-        TakeFlag(argv[i], "--threads", &threads) ||
         TakeFlag(argv[i], "--perf-out", &g_perf_out) ||
         TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
         TakeFlag(argv[i], "--postmortem-out", &postmortem_stem) ||
@@ -153,34 +150,18 @@ void InitBenchTelemetry(int* argc, char** argv) {
                                         : EventQueueMode::kHeap);
   }
   g_jobs = static_cast<int>(std::max(1L, std::strtol(jobs.c_str(), nullptr, 10)));
-  g_threads = static_cast<int>(std::max(0L, std::strtol(threads.c_str(), nullptr, 10)));
 
-  // Oversubscription guard: each sweep job runs its own testbed, and with
-  // --threads each testbed spins up its own LP worker pool, so the process
-  // wants jobs x threads runnable threads. Clamp --jobs first (sweep points
-  // are independent, so fewer jobs only serializes them); an explicit
-  // --threads above the hardware budget is honored — output is byte-identical
-  // at any thread count, only wall clock suffers — but warned about.
+  // Oversubscription guard: each sweep job runs its own testbed on its own
+  // thread, so clamp --jobs to the hardware concurrency (sweep points are
+  // independent, so fewer jobs only serializes them).
   const int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const int per_point = std::max(1, g_threads);
-  if (g_jobs * per_point > hw) {
-    const int clamped = std::max(1, hw / per_point);
-    if (clamped < g_jobs) {
-      STROM_LOG(kWarning) << "--jobs=" << g_jobs << " x --threads=" << per_point
-                          << " oversubscribes " << hw
-                          << " hardware thread(s); clamping --jobs to " << clamped;
-      g_jobs = clamped;
-    }
-    if (g_jobs * per_point > hw) {
-      STROM_LOG(kWarning) << "--threads=" << per_point
-                          << " exceeds hardware concurrency (" << hw
-                          << "); honoring it (results are identical at any "
-                             "thread count) but wall clock will suffer";
-    }
+  if (g_jobs > hw) {
+    STROM_LOG(kWarning) << "--jobs=" << g_jobs << " oversubscribes " << hw
+                        << " hardware thread(s); clamping --jobs to " << hw;
+    g_jobs = hw;
   }
 
   TestbedTelemetryDefaults& defaults = Testbed::telemetry_defaults;
-  defaults.lp_threads = g_threads;
   defaults.enable_trace = !g_trace_out.empty();
   defaults.sample_every = std::max(1L, std::strtol(sample.c_str(), nullptr, 10));
   defaults.capture_prefix = g_capture_out;
@@ -233,21 +214,14 @@ int WritePerfReport(const std::string& path) {
   std::fprintf(f,
                "{\n"
                "  \"jobs\": %d,\n"
-               "  \"threads\": %d,\n"
                "  \"wall_seconds\": %.3f,\n"
                "  \"sweep_wall_seconds\": %.3f,\n"
                "  \"events_processed\": %.0f,\n"
                "  \"frames_sent\": %.0f,\n"
                "  \"events_per_sec\": %.0f,\n"
                "  \"frames_per_sec\": %.0f",
-               g_jobs, g_threads, wall, g_sweep_wall_seconds, events, frames,
+               g_jobs, wall, g_sweep_wall_seconds, events, frames,
                wall > 0 ? events / wall : 0.0, wall > 0 ? frames / wall : 0.0);
-  // Scaling-curve key: the same run at --threads=N lands under a distinct
-  // name, so merged reports carry events_per_sec_t{1,2,4,8} side by side and
-  // perfdiff can gate each point of the curve (t1 doubles as the legacy
-  // single-queue key when --threads is absent).
-  std::fprintf(f, ",\n  \"events_per_sec_t%d\": %.0f", std::max(1, g_threads),
-               wall > 0 ? events / wall : 0.0);
   for (const auto& [key, value] : g_perf_extras) {
     std::fprintf(f, ",\n  \"%s\": %.3f", key.c_str(), value);
   }
@@ -375,15 +349,12 @@ LatencyStats MeasureWriteLatency(const Profile& profile, size_t payload, int rou
     *c.finished = true;
   };
 
-  // Start both sequence words from 0 before either side runs: in
-  // conservative-parallel mode each node's memory belongs to its own LP, so
-  // cross-node setup writes must happen here on the main thread, not inside
-  // the initiator coroutine (which executes on node 0's worker).
+  // Start both sequence words from 0 before either side runs.
   bed.node(1).driver().WriteHostU64(ping + payload - 8, 0);
   bed.node(0).driver().WriteHostU64(pong + payload - 8, 0);
 
   // Each side's coroutine touches only its own node's memory and driver, so
-  // spawn it on that node's simulator (= its logical process under --threads).
+  // spawn it on that node's simulator.
   bed.node(1).sim().Spawn(responder(ctx));
   bed.node(0).sim().Spawn(initiator(ctx));
   bed.sim().RunUntil([&] { return finished; });

@@ -63,7 +63,7 @@ namespace strom::bench {
 //                          'heap' (default) is the single indexed 4-ary heap,
 //                          'wheel' adds the hierarchical timing wheel far
 //                          tier + batched same-timestamp dispatch
-//                          (DESIGN.md §13). Same-seed simulated output is
+//                          (DESIGN.md §12). Same-seed simulated output is
 //                          byte-identical across the two; only wall clock
 //                          and events/sec move.
 
@@ -81,21 +81,11 @@ int ExportBenchTelemetry();
 // --- deterministic parallel sweep runner ------------------------------------
 // bench_main.cc also strips:
 //   --jobs=N          run registered sweep points on N worker threads
-//                     (default 1 = inline, in registration order)
-//   --threads=N       run every testbed/fabric built during the run under the
-//                     conservative-parallel LP scheduler with N worker
-//                     threads (src/sim/lp_scheduler.h). Same-seed output is
-//                     byte-identical for any N >= 1; 0 (the default) keeps
-//                     the legacy single-queue simulator. Oversubscription
-//                     guard: jobs x threads is capped at hardware
-//                     concurrency by clamping --jobs first (with a warning);
-//                     an explicit --threads above the budget is honored but
-//                     warned about.
+//                     (default 1 = inline, in registration order; clamped
+//                     to the hardware concurrency with a warning)
 //   --perf-out=<file> write a simulator-performance report (wall seconds,
-//                     events/sec, frames/sec, plus an events_per_sec_t<N>
-//                     scaling key for the active --threads value) after the
-//                     run; the CI perf-smoke job uploads it as
-//                     BENCH_simperf.json
+//                     events/sec, frames/sec) after the run; the CI
+//                     perf-smoke job uploads it as BENCH_simperf.json
 //
 // A sweep bench registers every (benchmark, argument) point once at
 // static-init time and reads results inside the benchmark body. The first

@@ -1,13 +1,11 @@
 // Microbenchmarks for the simulator's own hot paths (not simulated
 // behaviour): event-queue push/pop, CRC32/CRC64 bulk throughput, pooled
-// frame allocation/cloning, and the conservative-parallel core's cross-LP
-// channel and barrier-epoch protocol. These are the paths the slab-pooled
-// frame buffers, indexed 4-ary event heap, slice-by-8 CRC tables, and the LP
-// scheduler optimize; run with --perf-out to capture events/sec alongside.
+// frame allocation/cloning and host-memory access. These are the paths the
+// slab-pooled frame buffers, indexed 4-ary event heap and slice-by-8 CRC
+// tables optimize; run with --perf-out to capture events/sec alongside.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -16,8 +14,6 @@
 #include "src/pcie/host_memory.h"
 #include "src/proto/packet.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/lp_scheduler.h"
-#include "src/sim/spsc_channel.h"
 #include "src/testbed/workload.h"
 
 namespace strom {
@@ -289,68 +285,6 @@ void HostMemoryReadCopy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(HostMemoryReadCopy)->Arg(4096)->Arg(65536);
-
-// --- conservative-parallel core ---------------------------------------------
-
-// Cross-LP channel cost per frame handoff: batch-push {when, callback} items
-// (what Link::Deliver does inside a window), then drain them in push order
-// (what the scheduler does at the barrier). The vector keeps its capacity
-// across epochs, so steady state is append + indexed walk, no allocation.
-void SpscChannelPushDrain(benchmark::State& state) {
-  Simulator dst;
-  SpscChannel ch(&dst);
-  uint64_t sink = 0;
-  const int batch = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    for (int i = 0; i < batch; ++i) {
-      ch.Push(1000 + i, [&sink] { ++sink; });
-    }
-    ch.Drain([](SpscChannel::Item& item) { item.fn(); });
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(SpscChannelPushDrain)->Arg(16)->Arg(256);
-
-// Barrier-epoch protocol overhead: two LPs, each re-arming exactly one event
-// per lookahead window, so every epoch executes two near-trivial events and
-// the measured time is almost entirely the window algebra plus (at threads
-// > 1) the epoch mutex/condvar handoff. items processed = windows.
-void LpBarrierEpochOverhead(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  constexpr SimTime kLookahead = 100'000;  // 100 ns in ps
-  constexpr int kWindowsPerIter = 64;
-  // Sims must outlive the scheduler (its destructor joins the workers while
-  // the LPs are still alive), so declare them first.
-  Simulator a;
-  Simulator b;
-  LpScheduler sched(threads);
-  sched.AddLp(&a);
-  sched.AddLp(&b);
-  sched.NoteLinkLookahead(kLookahead);
-  // One counter per LP: each is written only by its owning worker.
-  uint64_t ticks_a = 0;
-  uint64_t ticks_b = 0;
-  std::function<void()> tick_a = [&] {
-    ++ticks_a;
-    a.Schedule(kLookahead, [&] { tick_a(); });
-  };
-  std::function<void()> tick_b = [&] {
-    ++ticks_b;
-    b.Schedule(kLookahead, [&] { tick_b(); });
-  };
-  a.Schedule(kLookahead, [&] { tick_a(); });
-  b.Schedule(kLookahead, [&] { tick_b(); });
-  for (auto _ : state) {
-    sched.RunFor(&a, kLookahead * kWindowsPerIter);
-  }
-  benchmark::DoNotOptimize(ticks_a);
-  benchmark::DoNotOptimize(ticks_b);
-  state.counters["windows"] = static_cast<double>(sched.windows_executed());
-  state.counters["parallel_windows"] = static_cast<double>(sched.parallel_windows());
-  state.SetItemsProcessed(state.iterations() * kWindowsPerIter);
-}
-BENCHMARK(LpBarrierEpochOverhead)->Arg(1)->Arg(2)->Arg(4);
 
 void HostMemoryReadU64Poll(benchmark::State& state) {
   HostMemory mem;

@@ -7,23 +7,12 @@
 // block rather than copied. Released blocks return to a thread-local free
 // list bucketed by capacity, so steady-state traffic allocates nothing.
 //
-// Threading model: in the default single-threaded regimes (one Simulator
-// per thread, including the parallel sweep runner's one-Simulator-per-point
-// workers) a live FrameBuf is never shared across threads, and the
-// reference count is maintained with plain loads/stores. The conservative
-// parallel scheduler (src/sim/lp_scheduler.h) breaks that assumption: a
-// frame in flight across an LP boundary is referenced by the sender's
-// retransmit buffer on one worker thread and by the channel/receiver on
-// another. Before executing its first concurrent window the scheduler calls
-// EnableMtFrameMode(), which stickily switches every refcount operation in
-// the process to real atomic RMWs. The flag is one relaxed load on the
-// refcount path, so the serial regimes keep their lock-prefix-free cost.
-// Blocks released on a different thread than they were allocated on simply
-// join that thread's pool, which is safe in both modes.
+// Threading model: each Simulator runs on one thread (the parallel sweep
+// runner gives every worker its own points), so a live FrameBuf is never
+// shared across threads and the reference count is a plain integer.
 #ifndef SRC_COMMON_FRAME_BUF_H_
 #define SRC_COMMON_FRAME_BUF_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -45,7 +34,7 @@ struct FrameMemo {
 
 namespace internal {
 struct FrameBlock {
-  std::atomic<uint32_t> refs{0};
+  uint32_t refs = 0;
   ByteBuffer storage;
   // Memoized side-state for the frame view [memo_off, memo_off + memo_len)
   // over `storage`. Valid only while memo_valid is set; the object outlives
@@ -60,37 +49,7 @@ FrameBlock* AcquireFrameBlock(size_t size);
 FrameBlock* AdoptFrameBlock(ByteBuffer&& data);
 void ReleaseFrameBlock(FrameBlock* block);
 
-// Sticky process-wide flag: set once by the LP scheduler before its first
-// concurrent window (see the threading model above).
-extern std::atomic<bool> g_mt_frame_mode;
-
-inline void RefBlock(FrameBlock* block) {
-  if (g_mt_frame_mode.load(std::memory_order_relaxed)) {
-    block->refs.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    block->refs.store(block->refs.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-  }
-}
-
-// Drops one reference; returns true when it was the last. The MT decrement
-// is acq_rel so the thread that recycles the block observes every write made
-// through other references.
-inline bool UnrefBlock(FrameBlock* block) {
-  if (g_mt_frame_mode.load(std::memory_order_relaxed)) {
-    return block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1;
-  }
-  const uint32_t left = block->refs.load(std::memory_order_relaxed) - 1;
-  block->refs.store(left, std::memory_order_relaxed);
-  return left == 0;
-}
 }  // namespace internal
-
-// Switches every FrameBuf refcount operation to atomic RMWs, process-wide
-// and permanently. Called by the LP scheduler before its first concurrent
-// window; safe to call repeatedly.
-void EnableMtFrameMode();
-bool MtFrameModeEnabled();
 
 class FrameBuf {
  public:
@@ -103,7 +62,7 @@ class FrameBuf {
     FrameBuf f;
     if (size > 0) {
       f.block_ = internal::AcquireFrameBlock(size);
-      f.block_->refs.store(1, std::memory_order_relaxed);
+      f.block_->refs = 1;
       f.len_ = static_cast<uint32_t>(size);
       std::memset(f.data(), 0, size);
     }
@@ -117,7 +76,7 @@ class FrameBuf {
     FrameBuf f;
     if (size > 0) {
       f.block_ = internal::AcquireFrameBlock(size);
-      f.block_->refs.store(1, std::memory_order_relaxed);
+      f.block_->refs = 1;
       f.len_ = static_cast<uint32_t>(size);
     }
     return f;
@@ -137,7 +96,7 @@ class FrameBuf {
     FrameBuf f;
     if (!data.empty()) {
       f.block_ = internal::AdoptFrameBlock(std::move(data));
-      f.block_->refs.store(1, std::memory_order_relaxed);
+      f.block_->refs = 1;
       f.len_ = static_cast<uint32_t>(f.block_->storage.size());
     }
     return f;
@@ -146,7 +105,7 @@ class FrameBuf {
   FrameBuf(const FrameBuf& other) noexcept
       : block_(other.block_), off_(other.off_), len_(other.len_) {
     if (block_ != nullptr) {
-      internal::RefBlock(block_);
+      ++block_->refs;
     }
   }
 
@@ -157,7 +116,7 @@ class FrameBuf {
       off_ = other.off_;
       len_ = other.len_;
       if (block_ != nullptr) {
-        internal::RefBlock(block_);
+        ++block_->refs;
       }
     }
     return *this;
@@ -278,7 +237,7 @@ class FrameBuf {
   // Copy-on-write: after this call the block is exclusively owned, so
   // mutation cannot be observed through other references.
   void EnsureUnique() {
-    if (block_ != nullptr && block_->refs.load(std::memory_order_acquire) > 1) {
+    if (block_ != nullptr && block_->refs > 1) {
       *this = Copy(span());
     }
   }
@@ -298,7 +257,7 @@ class FrameBuf {
   friend class FrameBuilder;
 
   void Release() {
-    if (block_ != nullptr && internal::UnrefBlock(block_)) {
+    if (block_ != nullptr && --block_->refs == 0) {
       internal::ReleaseFrameBlock(block_);
     }
     block_ = nullptr;
@@ -351,7 +310,7 @@ class FrameBuilder {
     FrameBuf f;
     if (!block_->storage.empty()) {
       f.block_ = block_;
-      f.block_->refs.store(1, std::memory_order_relaxed);
+      f.block_->refs = 1;
       f.len_ = static_cast<uint32_t>(block_->storage.size());
       block_ = nullptr;
     }

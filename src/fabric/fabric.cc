@@ -1,7 +1,6 @@
 #include "src/fabric/fabric.h"
 
 #include "src/common/logging.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/flow_stats.h"
@@ -39,48 +38,18 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
   topo.sw.ip_mtu = profile.link.ip_mtu;
   hosts_per_leaf_ = (topo.num_hosts + topo.num_leaves - 1) / topo.num_leaves;
 
-  // Conservative-parallel partition: one logical process per host and per
-  // switch, with host 0 reusing sim_ so Fabric::sim() keeps working as the
-  // run-loop entry point. Every cross-LP edge is a PointToPointLink, whose
-  // propagation delay becomes the scheduler's lookahead.
-  const int lp_threads = Testbed::telemetry_defaults.lp_threads;
-  if (lp_threads > 0) {
-    scheduler_ = std::make_unique<LpScheduler>(lp_threads);
-    scheduler_->AddLp(&sim_);
-  }
-  auto new_lp = [this]() -> Simulator* {
-    if (scheduler_ == nullptr) {
-      return &sim_;
-    }
-    lp_sims_.push_back(std::make_unique<Simulator>());
-    scheduler_->AddLp(lp_sims_.back().get());
-    return lp_sims_.back().get();
-  };
-  for (int i = 0; i < topo.num_hosts; ++i) {
-    host_sims_.push_back(i == 0 ? &sim_ : new_lp());
-  }
-  for (int l = 0; l < topo.num_leaves; ++l) {
-    leaf_sims_.push_back(new_lp());
-  }
-  for (int s = 0; s < topo.num_spines; ++s) {
-    spine_sims_.push_back(new_lp());
-  }
-
   for (int i = 0; i < topo.num_hosts; ++i) {
     arp_.Add(IpForHost(i), MacForHost(i));
   }
   for (int i = 0; i < topo.num_hosts; ++i) {
-    nodes_.push_back(std::make_unique<Node>(*host_sims_[i], profile, IpForHost(i),
-                                            MacForHost(i), arp_));
+    nodes_.push_back(std::make_unique<Node>(sim_, profile, IpForHost(i), MacForHost(i), arp_));
     nodes_.back()->AttachTelemetry(telemetry_.get(), i);
   }
   for (int l = 0; l < topo.num_leaves; ++l) {
-    leaves_.push_back(std::make_unique<FabricSwitch>(*leaf_sims_[l], topo.sw,
-                                                     "leaf" + std::to_string(l)));
+    leaves_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "leaf" + std::to_string(l)));
   }
   for (int s = 0; s < topo.num_spines; ++s) {
-    spines_.push_back(std::make_unique<FabricSwitch>(*spine_sims_[s], topo.sw,
-                                                     "spine" + std::to_string(s)));
+    spines_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "spine" + std::to_string(s)));
   }
 
   // Host links.
@@ -90,10 +59,6 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
     const int port = sw.AddPort();
     host_port[i] = port;
     PointToPointLink& link = sw.PortLink(port);
-    if (scheduler_ != nullptr) {
-      // Side 0 is the host endpoint, side 1 the switch (AddPort convention).
-      link.BindLp(host_sims_[i], leaf_sims_[LeafOf(i)], scheduler_.get());
-    }
     Node* node = nodes_[i].get();
     link.Attach(0, [node](FrameBuf frame, TraceContext trace) {
       node->OnFrame(std::move(frame), trace);
@@ -120,11 +85,6 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
       auto [lp, sp] = leaves_[l]->ConnectTo(*spines_[s]);
       uplink[l][s] = lp;
       downlink[s][l] = sp;
-      if (scheduler_ != nullptr) {
-        // ConnectTo gives the dialing leaf side 1 and the spine side 0.
-        leaves_[l]->PortLink(lp).BindLp(spine_sims_[s], leaf_sims_[l],
-                                        scheduler_.get());
-      }
     }
   }
   for (int h = 0; h < topo.num_hosts; ++h) {
@@ -146,19 +106,6 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
     spines_[s]->AttachTelemetry(telemetry_.get(), spines_[s]->name());
   }
   InitObservability();
-  if (scheduler_ != nullptr) {
-    // Observers whose callbacks read state across LP boundaries mid-window
-    // (trace spans, sampler probes, flow stats, fault-plan recovery) force
-    // the windows to execute serially. Still one run at any thread count —
-    // and still byte-identical across thread counts — just not concurrent.
-    // Captures, the flight recorder and the auditor are sharded/atomic and
-    // stay parallel.
-    const TestbedTelemetryDefaults& d = Testbed::telemetry_defaults;
-    if (telemetry_->tracer.enabled() || d.sample_interval > 0 ||
-        d.flow_sink != nullptr || d.fault_plan != nullptr) {
-      scheduler_->SetSerializeEpochs(true);
-    }
-  }
 }
 
 void Fabric::InitObservability() {
@@ -324,10 +271,6 @@ void Fabric::ReconnectQp(int a, Qpn qpn_a, int b, Qpn qpn_b, Psn psn_a, Psn psn_
 void Fabric::ApplyFaultPlan(std::shared_ptr<const FaultPlan> plan) {
   STROM_CHECK(fault_engine_ == nullptr) << "fault plan already applied";
   STROM_CHECK(plan != nullptr);
-  if (scheduler_ != nullptr) {
-    // Fault recovery (QP reconnects) touches stacks across LP boundaries.
-    scheduler_->SetSerializeEpochs(true);
-  }
   fault_engine_ = std::make_unique<FaultEngine>(sim_, std::move(plan));
   // Spines own no links (cables belong to the leaf that dialed ConnectTo),
   // so (leaf, port) order over owned links enumerates every fabric link
@@ -372,10 +315,8 @@ void Fabric::ArmCrashEpisodes() {
   // Switch numbering in plans: leaves 0..L-1, then spines L..L+S-1.
   const int num_switches = num_leaves() + num_spines();
   for (int s = 0; s < num_switches; ++s) {
-    Simulator& sw_sim = *(s < num_leaves() ? leaf_sims_[s]
-                                           : spine_sims_[s - num_leaves()]);
     fault_engine_->ArmCrashes(
-        FaultTargetKind::kSwitch, s, sw_sim,
+        FaultTargetKind::kSwitch, s, sim_,
         [this, s](const FaultEpisode& ep) {
           OnCrashEpisode(FaultTargetKind::kSwitch, s, ep);
         },
@@ -404,9 +345,7 @@ void Fabric::OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode&
   if (kind == FaultTargetKind::kSwitch) {
     FabricSwitch& sw = switch_at(index);
     sw.Crash();
-    now = (index < num_leaves() ? leaf_sims_[index]
-                                : spine_sims_[index - num_leaves()])
-              ->now();
+    now = sim_.now();
     what = sw.name();
   } else {
     Node& n = *nodes_[index];
@@ -415,9 +354,7 @@ void Fabric::OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode&
     what = (kind == FaultTargetKind::kHost ? "host" : "nic") + std::to_string(index);
   }
   if (flight_recorder_ != nullptr) {
-    // Switch crashes land in ring 0 (they have no host ring of their own);
-    // safe because fault plans force serialized epochs, so rings never see
-    // two concurrent writers.
+    // Switch crashes land in ring 0 (they have no host ring of their own).
     const int ring = kind == FaultTargetKind::kSwitch ? 0 : index;
     flight_recorder_->Record(now, ring, FlightRecordType::kCrash, CrashOpcode(kind),
                              0, 0, uint32_t(index));
@@ -435,9 +372,7 @@ void Fabric::OnRestartEpisode(FaultTargetKind kind, int index, const FaultEpisod
   SimTime now = 0;
   if (kind == FaultTargetKind::kSwitch) {
     switch_at(index).Restart();
-    now = (index < num_leaves() ? leaf_sims_[index]
-                                : spine_sims_[index - num_leaves()])
-              ->now();
+    now = sim_.now();
   } else {
     Node& n = *nodes_[index];
     n.Restart(kind);
@@ -473,21 +408,11 @@ std::vector<std::string> Fabric::EnableCapture(const std::string& prefix) {
   for (int i = 0; i < num_hosts(); ++i) {
     nodes_[i]->AttachCapture(add(prefix + ".node" + std::to_string(i) + ".nic.pcapng"), i);
   }
-  if (scheduler_ != nullptr) {
-    // Each capture interface is written by exactly one LP; buffering and
-    // sorting at Close() makes the files byte-identical at any thread count.
-    for (auto& capture : captures_) {
-      capture->EnableDeterministicMerge();
-    }
-  }
   return paths;
 }
 
 void Fabric::StartSampling(SimTime interval) {
   STROM_CHECK_GT(interval, 0);
-  if (scheduler_ != nullptr) {
-    scheduler_->SetSerializeEpochs(true);  // probes read every LP's state
-  }
   for (int i = 0; i < num_hosts(); ++i) {
     nodes_[i]->AttachSampler(telemetry_.get(), i);
   }
@@ -503,9 +428,7 @@ void Fabric::StartSampling(SimTime interval) {
 void Fabric::ScheduleSample(SimTime interval) {
   sim_.Schedule(interval, [this, interval] {
     telemetry_->sampler.Sample(sim_.now());
-    const size_t pending = scheduler_ != nullptr ? scheduler_->pending_events()
-                                                 : sim_.pending_events();
-    if (pending > 0) {
+    if (sim_.pending_events() > 0) {
       ScheduleSample(interval);
     }
   });

@@ -1,4 +1,4 @@
-// Lease-based peer liveness (ISSUE 10 / DESIGN.md §14). Each host runs one
+// Lease-based peer liveness (DESIGN.md §13). Each host runs one
 // LivenessMonitor owning a per-peer lease state machine on cancellable
 // timers (src/sim/simulator.h timer slab):
 //
@@ -15,7 +15,6 @@
 // clean-run wire traffic byte-identical (liveness adds zero frames) while
 // modeling the detection *latency* faithfully: a dead peer is noticed only
 // when the lease next expires, and recovery waits out the backoff schedule.
-// Cross-LP reads are safe because fault plans force serialized epochs.
 //
 // The reconnect closure performs the out-of-band fresh-PSN handshake
 // (Fabric::ReconnectQp) once the peer probes alive again; the monitor then

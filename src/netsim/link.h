@@ -15,13 +15,10 @@
 #include "src/common/units.h"
 #include "src/proto/headers.h"
 #include "src/sim/simulator.h"
-#include "src/sim/spsc_channel.h"
 #include "src/telemetry/pcap_writer.h"
 #include "src/telemetry/telemetry.h"
 
 namespace strom {
-
-class LpScheduler;
 
 struct LinkConfig {
   uint64_t rate_bps = Gbps(10);
@@ -88,18 +85,6 @@ class PointToPointLink {
   // side is 0 or 1. The handler receives frames sent from the other side.
   void Attach(int side, RxHandler handler);
 
-  // Conservative-parallel binding: endpoints of this link live on the given
-  // logical processes (side 0 on `s0`, side 1 on `s1`). Transmit-side state
-  // (serialization cursor, fault knobs, counters, capture interface) is then
-  // read on the sender's clock, and cross-LP deliveries travel through SPSC
-  // channels drained by the scheduler at epoch barriers instead of being
-  // scheduled directly into the peer's queue. The link's propagation delay
-  // becomes (part of) the scheduler's lookahead floor, which is exactly the
-  // conservative-synchronization contract: an arrival can never land inside
-  // the window the peer is currently executing. Call before traffic; both
-  // sims must be registered with `scheduler`.
-  void BindLp(Simulator* s0, Simulator* s1, LpScheduler* scheduler);
-
   // Transmits a frame from `side`. Serialization is modeled with a per-side
   // busy-until cursor; frames queue behind each other at line rate. The frame
   // is shared by reference count with the capture tap and the receiver.
@@ -149,18 +134,10 @@ class PointToPointLink {
     uint32_t capture_if = 0;
   };
 
-  // Hands the frame to the receiving side at `arrival`, through the SPSC
-  // channel when the receiver lives on another LP.
   void Deliver(int rx_side, SimTime arrival, FrameBuf frame, TraceContext trace);
 
   Simulator& sim_;
   LinkConfig config_;
-  // Per-side owning LP; both point at `sim_` until BindLp(). Indexed by the
-  // transmitting side in Send() and by the receiving side in Deliver().
-  std::array<Simulator*, 2> sims_;
-  // Cross-LP delivery channel into sims_[rx_side]; null when both endpoints
-  // share an LP.
-  std::array<SpscChannel*, 2> deliver_ = {nullptr, nullptr};
   std::array<Side, 2> sides_;
   Tracer* tracer_ = nullptr;
   PcapWriter* capture_ = nullptr;

@@ -1377,7 +1377,7 @@ void RoceStack::Crash() {
     }
   });
   // QpnMap iterates in probe-slot order; sort so the flush (and the user
-  // completions it fires) runs in QPN order at any thread count.
+  // completions it fires) runs in QPN order.
   std::sort(connected.begin(), connected.end());
   for (Qpn qpn : connected) {
     if (timer_.IsArmed(qpn)) {

@@ -1,7 +1,7 @@
 // Priority queue of timed events. Ties are broken by insertion order so the
 // simulation is fully deterministic.
 //
-// Two-tier event core (DESIGN.md §13). The near tier is an indexed 4-ary
+// Two-tier event core (DESIGN.md §12). The near tier is an indexed 4-ary
 // min-heap: the heap array holds small {when, seq, slot} nodes (cheap to move
 // and compare), while the callbacks live in a slab of SmallCallback slots
 // recycled through a free list. With the callback's inline buffer this makes

@@ -139,8 +139,8 @@ std::vector<FlightRecord> FlightRecorder::HostRecords(int host) const {
 
 Status FlightRecorder::Dump(const std::string& stem, const std::string& reason,
                             const MetricsRegistry::Snapshot* metrics) {
-  // First trigger wins, atomically: a cascade (audit violation on one worker,
-  // fatal on another) keeps the original scene.
+  // First trigger wins: a cascade (audit violation, then the fatal hook)
+  // keeps the original scene.
   if (dumped_.exchange(true)) {
     return Status::Ok();
   }
@@ -188,8 +188,7 @@ Status FlightRecorder::Dump(const std::string& stem, const std::string& reason,
   }
 
   // Frame rings as a capture, merged back into wire order. The key
-  // (time, host, per-host ordinal) is a pure function of the simulation, so
-  // the bundle is identical at any worker-thread count.
+  // (time, host, per-host ordinal) is a pure function of the simulation.
   {
     PcapWriter pcap(stem + ".frames.pcapng");
     std::vector<uint32_t> interfaces;

@@ -5,11 +5,9 @@
 // preallocated arena — holding FrameBuf references instead would pin blocks
 // and wreck the frame pool's cache locality).
 //
-// Sharding everything by host is what keeps the recorder armed during
-// conservative-parallel windows: each ring has exactly one writer (the host's
-// logical process), the aggregate counters are relaxed atomics, and Dump()
-// merges the frame rings ordered by (time, host, per-host ordinal) so the
-// bundle is byte-identical at any worker-thread count.
+// Everything is sharded by host, and Dump() merges the frame rings ordered by
+// (time, host, per-host ordinal), so the bundle is a pure function of the
+// simulated run.
 //
 // On a trigger — watchdog fire, paranoid-mode divergence (via the logging
 // fatal hook), auditor violation, or an explicit --postmortem-out — the
@@ -116,7 +114,7 @@ class FlightRecorder {
     if (ring.count < ring.slots.size()) {
       ++ring.count;
     }
-    records_written_.fetch_add(1, std::memory_order_relaxed);
+    ++records_written_;
   }
 
   // Hot path: snapshot the frame's header prefix (at most kFrameSnapLen
@@ -144,7 +142,7 @@ class FlightRecorder {
     if (ring.count < ring.slots.size()) {
       ++ring.count;
     }
-    frames_recorded_.fetch_add(1, std::memory_order_relaxed);
+    ++frames_recorded_;
   }
 
   // Dumps the bundle described above. Idempotent: only the first trigger
@@ -163,12 +161,8 @@ class FlightRecorder {
 
   bool dumped() const { return dumped_.load(std::memory_order_relaxed); }
   int num_hosts() const { return int(rings_.size()); }
-  uint64_t records_written() const {
-    return records_written_.load(std::memory_order_relaxed);
-  }
-  uint64_t frames_recorded() const {
-    return frames_recorded_.load(std::memory_order_relaxed);
-  }
+  uint64_t records_written() const { return records_written_; }
+  uint64_t frames_recorded() const { return frames_recorded_; }
 
   // Ring contents oldest-first (test/inspection helper; the dump uses it).
   std::vector<FlightRecord> HostRecords(int host) const;
@@ -197,8 +191,8 @@ class FlightRecorder {
 
   std::vector<Ring> rings_;
   std::vector<FrameRing> frame_rings_;  // one per host, single-writer
-  std::atomic<uint64_t> records_written_{0};
-  std::atomic<uint64_t> frames_recorded_{0};
+  uint64_t records_written_ = 0;
+  uint64_t frames_recorded_ = 0;
   std::string auto_stem_;
   std::atomic<bool> dumped_{false};
 };

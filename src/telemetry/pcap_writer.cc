@@ -1,7 +1,6 @@
 #include "src/telemetry/pcap_writer.h"
 
-#include <algorithm>
-#include <tuple>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -122,28 +121,9 @@ uint32_t PcapWriter::AddInterface(const std::string& name) {
   return static_cast<uint32_t>(interface_count_++);
 }
 
-void PcapWriter::EnableDeterministicMerge() {
-  STROM_CHECK_EQ(packets_written(), 0u) << "merge mode must precede packets";
-  merge_ = true;
-  merge_buffers_.resize(interface_count_);
-}
-
 void PcapWriter::WritePacket(uint32_t interface_id, SimTime at, ByteSpan frame,
                              std::string_view comment, uint32_t orig_len) {
   STROM_CHECK_LT(interface_id, interface_count_);
-  if (merge_) {
-    merge_buffers_[interface_id].push_back(
-        Record{at, orig_len, ByteBuffer(frame.begin(), frame.end()),
-               std::string(comment)});
-    packets_written_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  EmitPacket(interface_id, at, frame, comment, orig_len);
-  packets_written_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PcapWriter::EmitPacket(uint32_t interface_id, SimTime at, ByteSpan frame,
-                            std::string_view comment, uint32_t orig_len) {
   const uint64_t ts = static_cast<uint64_t>(at < 0 ? 0 : at);
   BlockWriter epb;
   epb.U32(kEnhancedPacketBlock);
@@ -160,36 +140,10 @@ void PcapWriter::EmitPacket(uint32_t interface_id, SimTime at, ByteSpan frame,
   }
   epb.EndOptions();
   Append(epb.Finish());
+  ++packets_written_;
 }
 
 Status PcapWriter::Close() {
-  if (merge_ && !merge_buffers_.empty()) {
-    // Merge the per-interface buffers into one globally time-ordered stream.
-    // The sort key (timestamp, interface, per-interface ordinal) is a pure
-    // function of simulated time and registration order, so the emitted file
-    // is identical at any worker-thread count.
-    struct Key {
-      SimTime at;
-      uint32_t interface_id;
-      size_t ordinal;
-    };
-    std::vector<Key> order;
-    for (uint32_t i = 0; i < merge_buffers_.size(); ++i) {
-      for (size_t j = 0; j < merge_buffers_[i].size(); ++j) {
-        order.push_back(Key{merge_buffers_[i][j].at, i, j});
-      }
-    }
-    std::sort(order.begin(), order.end(), [](const Key& a, const Key& b) {
-      return std::tie(a.at, a.interface_id, a.ordinal) <
-             std::tie(b.at, b.interface_id, b.ordinal);
-    });
-    for (const Key& k : order) {
-      const Record& r = merge_buffers_[k.interface_id][k.ordinal];
-      EmitPacket(k.interface_id, r.at, ByteSpan(r.bytes.data(), r.bytes.size()),
-                 r.comment, r.orig_len);
-    }
-    merge_buffers_.clear();
-  }
   if (out_.is_open()) {
     out_.close();
     if (!out_ && status_.ok()) {

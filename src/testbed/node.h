@@ -47,7 +47,7 @@ class Node {
   // a null trace context).
   void SetFrameSender(RoceStack::FrameSender sender);
 
-  // Crash-stop of one failure domain (ISSUE 10 / DESIGN.md §14):
+  // Crash-stop of one failure domain (DESIGN.md §13):
   //   kNic  — the SmartNIC power-cycles: DMA completions, QP state, kernel
   //           pipelines, and frames in the TX/RX pipelines die atomically.
   //           Host memory, the TLB (host-resident page tables), and deployed

@@ -21,7 +21,6 @@ class Auditor;
 class FlightRecorder;
 class FlowStats;
 class FlowStatsSink;
-class LpScheduler;
 
 // Process-wide telemetry defaults applied to every Testbed at construction.
 // bench_util sets these from --trace-out/--metrics-out/--trace-sample so all
@@ -67,13 +66,6 @@ struct TestbedTelemetryDefaults {
   // watchdog/fatal/audit). Off for search loops (the chaos explorer runs
   // hundreds of crashing schedules and only wants files for the reproducer).
   bool dump_on_crash = true;
-  // When > 0 (bench_util --threads), topologies partition into logical
-  // processes run by a conservative-parallel scheduler with this many worker
-  // threads (src/sim/lp_scheduler.h): Fabric gives every host and switch its
-  // own LP; the 2-node Testbed gives each node one. Same-seed runs are
-  // byte-identical at any value, including 1. 0 (the default) keeps the
-  // legacy single-queue simulator.
-  int lp_threads = 0;
 };
 
 // Observer hook for crash/restart episodes: invoked after the component has
@@ -102,11 +94,7 @@ class Testbed {
   Telemetry& telemetry() { return *telemetry_; }
   Tracer& tracer() { return telemetry_->tracer; }
 
-  // In conservative-parallel mode this is node 0's logical process; its run
-  // loops delegate to the LP scheduler and drive both LPs.
   Simulator& sim() { return sim_; }
-  // Null unless telemetry_defaults.lp_threads > 0 and num_nodes == 2.
-  LpScheduler* scheduler() { return scheduler_.get(); }
   Node& node(int i) { return *nodes_.at(i); }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const Profile& profile() const { return profile_; }
@@ -155,12 +143,7 @@ class Testbed {
   void OnRestartEpisode(int index, FaultTargetKind kind, const FaultEpisode& ep);
 
   Profile profile_;
-  Simulator sim_;  // node 0's LP in parallel mode; the only sim otherwise
-  // Conservative-parallel members, populated only for the 2-node topology
-  // with lp_threads > 0. Declared before nodes_ so the components die first
-  // and before scheduler_ so workers are joined while both sims are alive.
-  std::unique_ptr<Simulator> lp_peer_sim_;  // node 1's LP
-  std::unique_ptr<LpScheduler> scheduler_;
+  Simulator sim_;
   ArpTable arp_;
   std::unique_ptr<Telemetry> telemetry_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -46,7 +46,6 @@ CrashScenarioResult RunCrashScenario(const CrashScenarioConfig& config,
 
   DefaultsGuard guard;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = config.lp_threads;
   // Search loops run hundreds of crashing schedules; a flight-recorder dump
   // per crash would be noise. Replays that want dumps re-enable it.
   Testbed::telemetry_defaults.dump_on_crash = false;

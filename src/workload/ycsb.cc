@@ -272,8 +272,6 @@ void YcsbEngine::ScheduleArrival(int host) {
   const double u = h.rng.NextDouble();
   const SimTime dt =
       std::max<SimTime>(1, static_cast<SimTime>(-std::log(1.0 - u) * mean_ps));
-  // Arrivals live on the host's own logical process: the generator state
-  // (rng, backlog, shard) then has exactly one writer under the scheduler.
   // One cancellable timer per host carries the whole arrival stream: the
   // callback is installed once and every subsequent arrival just re-arms the
   // deadline, so the steady-state loop allocates nothing per op.

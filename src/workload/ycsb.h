@@ -156,11 +156,8 @@ class YcsbEngine {
     // Per-host arrival timer: the Poisson stream's callback is installed
     // once and re-armed per arrival, keeping the open loop allocation-free.
     Simulator::TimerHandle arrival_timer;
-    // Per-host shard of the op counters and latency samples: under the LP
-    // scheduler every host's arrivals and completions run on its own logical
-    // process, so each shard has exactly one writer. Run() folds the shards
-    // in host order, which (percentiles sort anyway) makes the report
-    // identical at any worker-thread count.
+    // Per-host shard of the op counters and latency samples. Run() folds the
+    // shards in host order (percentiles sort anyway).
     YcsbReport shard;
   };
 

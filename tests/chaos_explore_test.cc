@@ -1,4 +1,4 @@
-// Tests for the deterministic chaos-schedule explorer (DESIGN.md §14):
+// Tests for the deterministic chaos-schedule explorer (DESIGN.md §13):
 //   * ShrinkPlan against synthetic oracles — greedy episode removal to a
 //     fixpoint, coordinate shrinking of crash/restart times, budget respect,
 //     and the guarantee that the result is always a verified reproducer;

@@ -3,7 +3,8 @@
 //   * every operation reaches exactly one terminal state (completed or
 //     errored) before a simulated-time watchdog deadline — nothing hangs,
 //   * payloads that complete OK are CRC64-intact,
-//   * the same seed produces byte-identical pcapng captures.
+//   * the same seed produces byte-identical pcapng captures, with and
+//     without abort-mode conservation auditors attached.
 //
 // Environment knobs (all optional; the CI chaos-soak job sets them):
 //   STROM_CHAOS_SEED          run a single seed instead of the default set
@@ -14,13 +15,6 @@
 //                             arm the flight recorder; a violation dumps a
 //                             post-mortem bundle ("<prefix>.postmortem.*")
 //                             into the artifact dir and fails the test
-//   STROM_CHAOS_THREADS       > 0: run every testbed under the
-//                             conservative-parallel LP scheduler with this
-//                             many worker threads (the CI TSan job sets 4).
-//                             Same-seed soaks stay byte-identical at any
-//                             value >= 1; fault plans serialize the epochs,
-//                             but the Step() drive loop and channel machinery
-//                             still run under the scheduler
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -96,7 +90,10 @@ uint64_t Crc(ByteSpan data) { return Crc64::Compute(data); }
 
 // Runs one seeded soak. The Testbed lives inside so captures are flushed
 // (writers destroyed) by the time the caller hashes the files.
-SoakResult RunSoak(uint64_t seed, const std::string& profile_name, const std::string& prefix) {
+// `abort_audit` attaches abort-mode auditors (a violation kills the process)
+// whatever STROM_CHAOS_AUDIT says.
+SoakResult RunSoak(uint64_t seed, const std::string& profile_name, const std::string& prefix,
+                   bool abort_audit = false) {
   SoakResult result;
   const Profile profile = profile_name == "100g" ? Profile100G() : Profile10G();
 
@@ -106,15 +103,10 @@ SoakResult RunSoak(uint64_t seed, const std::string& profile_name, const std::st
   // CI failure-upload step ships it. The auditor must outlive the Testbed
   // because the conservation sweeps run at teardown.
   TelemetryDefaultsGuard defaults_guard;
-  const int lp_threads =
-      static_cast<int>(std::strtol(EnvOr("STROM_CHAOS_THREADS", "0").c_str(), nullptr, 10));
-  if (lp_threads > 0) {
-    Testbed::telemetry_defaults.lp_threads = lp_threads;
-  }
   std::optional<Auditor> auditor;
-  if (!EnvOr("STROM_CHAOS_AUDIT", "").empty()) {
+  if (abort_audit || !EnvOr("STROM_CHAOS_AUDIT", "").empty()) {
     result.audited = true;
-    auditor.emplace(Auditor::Mode::kWarn);
+    auditor.emplace(abort_audit ? Auditor::Mode::kAbort : Auditor::Mode::kWarn);
     Testbed::telemetry_defaults.auditor = &*auditor;
     Testbed::telemetry_defaults.flight_recorder = true;
     Testbed::telemetry_defaults.postmortem_stem = prefix + ".postmortem";
@@ -365,18 +357,25 @@ TEST(ChaosSoak, SameSeedProducesIdenticalCaptures) {
   const std::string profile = EnvOr("STROM_CHAOS_PROFILE", "10g");
   const uint64_t seed = std::strtoull(EnvOr("STROM_CHAOS_SEED", "1").c_str(), nullptr, 10);
   const std::string dir = ArtifactDir();
-  const SoakResult a = RunSoak(seed, profile, dir + "chaos_rerun_a");
-  const SoakResult b = RunSoak(seed, profile, dir + "chaos_rerun_b");
-  CheckInvariants(a, seed, profile);
+  // The second pair runs under abort-mode conservation auditors: they must
+  // not trip, and the audited rerun must be byte-identical too.
+  for (const bool abort_audit : {false, true}) {
+    SCOPED_TRACE(abort_audit ? "abort-mode audit" : "no audit");
+    const std::string stem = dir + (abort_audit ? "chaos_rerun_abort_" : "chaos_rerun_");
+    const SoakResult a = RunSoak(seed, profile, stem + "a", abort_audit);
+    const SoakResult b = RunSoak(seed, profile, stem + "b", abort_audit);
+    CheckInvariants(a, seed, profile);
 
-  EXPECT_EQ(a.plan_text, b.plan_text);
-  EXPECT_EQ(a.completed_ok, b.completed_ok);
-  EXPECT_EQ(a.completed_error, b.completed_error);
-  EXPECT_EQ(a.reconnects, b.reconnects);
-  ASSERT_EQ(a.capture_paths.size(), b.capture_paths.size());
-  for (size_t i = 0; i < a.capture_paths.size(); ++i) {
-    EXPECT_EQ(Sha256File(a.capture_paths[i]), Sha256File(b.capture_paths[i]))
-        << a.capture_paths[i] << " vs " << b.capture_paths[i];
+    EXPECT_EQ(a.plan_text, b.plan_text);
+    EXPECT_EQ(a.completed_ok, b.completed_ok);
+    EXPECT_EQ(a.completed_error, b.completed_error);
+    EXPECT_EQ(a.reconnects, b.reconnects);
+    EXPECT_EQ(a.audit_checks, b.audit_checks);
+    ASSERT_EQ(a.capture_paths.size(), b.capture_paths.size());
+    for (size_t i = 0; i < a.capture_paths.size(); ++i) {
+      EXPECT_EQ(Sha256File(a.capture_paths[i]), Sha256File(b.capture_paths[i]))
+          << a.capture_paths[i] << " vs " << b.capture_paths[i];
+    }
   }
 }
 

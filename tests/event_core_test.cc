@@ -1,10 +1,9 @@
-// Two-tier event core tests (DESIGN.md §13):
+// Two-tier event core tests (DESIGN.md §12):
 //   * heap-vs-wheel equivalence — the SAME run (one seed, one topology)
 //     executed with --eventq=heap and --eventq=wheel must produce
 //     byte-identical observable output (pcapng SHA-256s, metrics dumps, end
 //     time, op counts) on a fig11-style StRoM shuffle slice and on a 4-host
-//     YCSB rack under a chaos fault plan, at --threads=0 (legacy single
-//     queue) and --threads=4 (LP scheduler),
+//     YCSB rack under a chaos fault plan and under a crash-restart plan,
 //   * cancellation stress — randomized arm/cancel/re-arm churn against a
 //     reference model, in both modes,
 //   * same-timestamp FIFO order under batched dispatch, including a timer
@@ -28,7 +27,6 @@
 #include "src/host/liveness.h"
 #include "src/kernels/shuffle.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/lp_scheduler.h"
 #include "src/sim/task.h"
 #include "src/telemetry/telemetry.h"
 #include "src/testbed/testbed.h"
@@ -94,11 +92,10 @@ void ExpectIdentical(const TrialOutput& heap, const TrialOutput& wheel,
 // the fig11 bench runs, at 1/1000 scale).
 // ---------------------------------------------------------------------------
 
-TrialOutput RunShuffleSlice(EventQueueMode mode, int threads, const std::string& tag) {
+TrialOutput RunShuffleSlice(EventQueueMode mode, const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
   SetEventQueueMode(mode);
 
@@ -151,9 +148,7 @@ TrialOutput RunShuffleSlice(EventQueueMode mode, int threads, const std::string&
     bed->sim().RunUntilIdle();
     out.ok = done ? 1 : 0;
     out.end_time = bed->sim().now();
-    out.events_processed = bed->scheduler() != nullptr
-                               ? bed->scheduler()->events_processed()
-                               : bed->sim().events_processed();
+    out.events_processed = bed->sim().events_processed();
   }
   out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
@@ -166,11 +161,10 @@ TrialOutput RunShuffleSlice(EventQueueMode mode, int threads, const std::string&
 // the cancellable-timer conversion must not perturb the wire.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbChaosTrial(EventQueueMode mode, int threads, const std::string& tag) {
+TrialOutput RunYcsbChaosTrial(EventQueueMode mode, const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
   SetEventQueueMode(mode);
 
@@ -198,9 +192,7 @@ TrialOutput RunYcsbChaosTrial(EventQueueMode mode, int threads, const std::strin
     out.ok = report.ops_completed;
     out.errored = report.ops_failed;
     out.end_time = fabric->sim().now();
-    out.events_processed = fabric->scheduler() != nullptr
-                               ? fabric->scheduler()->events_processed()
-                               : fabric->sim().events_processed();
+    out.events_processed = fabric->sim().events_processed();
   }
   out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
@@ -214,11 +206,10 @@ TrialOutput RunYcsbChaosTrial(EventQueueMode mode, int threads, const std::strin
 // churn the wheel's cascade bookkeeping sees — digests must not move.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbCrashTrial(EventQueueMode mode, int threads, const std::string& tag) {
+TrialOutput RunYcsbCrashTrial(EventQueueMode mode, const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
-  Testbed::telemetry_defaults.lp_threads = threads;
   Testbed::telemetry_defaults.collector = &collector;
   Testbed::telemetry_defaults.dump_on_crash = false;  // crashes are the point here
   SetEventQueueMode(mode);
@@ -258,9 +249,7 @@ TrialOutput RunYcsbCrashTrial(EventQueueMode mode, int threads, const std::strin
     out.ok = report.ops_completed;
     out.errored = report.ops_failed + report.ops_fenced;
     out.end_time = fabric->sim().now();
-    out.events_processed = fabric->scheduler() != nullptr
-                               ? fabric->scheduler()->events_processed()
-                               : fabric->sim().events_processed();
+    out.events_processed = fabric->sim().events_processed();
   }
   out.metrics_json = collector.MetricsJson();
   out.metrics_csv = collector.MetricsCsv();
@@ -268,40 +257,27 @@ TrialOutput RunYcsbCrashTrial(EventQueueMode mode, int threads, const std::strin
 }
 
 TEST(EventCoreEquivalence, ShuffleSliceIsByteIdenticalAcrossModes) {
-  for (const int threads : {0, 4}) {
-    const std::string t = std::to_string(threads);
-    const TrialOutput heap = RunShuffleSlice(EventQueueMode::kHeap, threads, "shf_h" + t);
-    const TrialOutput wheel = RunShuffleSlice(EventQueueMode::kWheel, threads, "shf_w" + t);
-    EXPECT_EQ(heap.ok, 1u);
-    EXPECT_FALSE(heap.capture_digests.empty());
-    ExpectIdentical(heap, wheel, "shuffle slice, threads=" + t);
-  }
+  const TrialOutput heap = RunShuffleSlice(EventQueueMode::kHeap, "shf_h");
+  const TrialOutput wheel = RunShuffleSlice(EventQueueMode::kWheel, "shf_w");
+  EXPECT_EQ(heap.ok, 1u);
+  EXPECT_FALSE(heap.capture_digests.empty());
+  ExpectIdentical(heap, wheel, "shuffle slice");
 }
 
 TEST(EventCoreEquivalence, YcsbRackWithFaultPlanIsByteIdenticalAcrossModes) {
-  for (const int threads : {0, 4}) {
-    const std::string t = std::to_string(threads);
-    const TrialOutput heap = RunYcsbChaosTrial(EventQueueMode::kHeap, threads, "ycsb_h" + t);
-    const TrialOutput wheel =
-        RunYcsbChaosTrial(EventQueueMode::kWheel, threads, "ycsb_w" + t);
-    EXPECT_GT(heap.ok, 0u);
-    EXPECT_FALSE(heap.capture_digests.empty());
-    ExpectIdentical(heap, wheel, "ycsb chaos rack, threads=" + t);
-  }
+  const TrialOutput heap = RunYcsbChaosTrial(EventQueueMode::kHeap, "ycsb_h");
+  const TrialOutput wheel = RunYcsbChaosTrial(EventQueueMode::kWheel, "ycsb_w");
+  EXPECT_GT(heap.ok, 0u);
+  EXPECT_FALSE(heap.capture_digests.empty());
+  ExpectIdentical(heap, wheel, "ycsb chaos rack");
 }
 
 TEST(EventCoreEquivalence, YcsbRackWithCrashPlanIsByteIdenticalAcrossModes) {
-  // threads=1 rides along: the acceptance bar for crash schedules is equal
-  // pcapng digests across --threads 0/1/4 and --eventq heap|wheel.
-  for (const int threads : {0, 1, 4}) {
-    const std::string t = std::to_string(threads);
-    const TrialOutput heap = RunYcsbCrashTrial(EventQueueMode::kHeap, threads, "crash_h" + t);
-    const TrialOutput wheel =
-        RunYcsbCrashTrial(EventQueueMode::kWheel, threads, "crash_w" + t);
-    EXPECT_GT(heap.ok, 0u);
-    EXPECT_FALSE(heap.capture_digests.empty());
-    ExpectIdentical(heap, wheel, "ycsb crash-recovery rack, threads=" + t);
-  }
+  const TrialOutput heap = RunYcsbCrashTrial(EventQueueMode::kHeap, "crash_h");
+  const TrialOutput wheel = RunYcsbCrashTrial(EventQueueMode::kWheel, "crash_w");
+  EXPECT_GT(heap.ok, 0u);
+  EXPECT_FALSE(heap.capture_digests.empty());
+  ExpectIdentical(heap, wheel, "ycsb crash-recovery rack");
 }
 
 // ---------------------------------------------------------------------------

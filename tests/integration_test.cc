@@ -20,10 +20,17 @@ constexpr Qpn kQp = 1;
 // Parameterized payload-integrity sweep over both profiles.
 // ---------------------------------------------------------------------------
 
+// gtest prints a param without operator<< as a raw byte dump, and ctest test
+// names embed that dump, so the struct carries its padding as zeroed bytes:
+// left implicit, it holds stack garbage and the names change from build to build.
 struct SweepParam {
+  constexpr SweepParam(bool use_100g_in, size_t payload_in)
+      : use_100g(use_100g_in), payload(payload_in) {}
   bool use_100g;
+  uint8_t reserved[7] = {};
   size_t payload;
 };
+static_assert(sizeof(SweepParam) == 16, "SweepParam must have no implicit padding");
 
 class PayloadSweep : public ::testing::TestWithParam<SweepParam> {};
 

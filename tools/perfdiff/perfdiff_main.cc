@@ -1,30 +1,17 @@
 // perfdiff: compare two simulator-performance reports (the --perf-out JSON
 // written by the bench binaries) and fail when the new run regresses.
 //
-// Usage: perfdiff [--threshold=0.25] [--hard] <baseline.json> <current.json>
-//        perfdiff --merge <out.json> <in1.json> [<in2.json> ...]
+// Usage: perfdiff [--threshold=0.25] <baseline.json> <current.json>
 //
 // Exit codes:
 //   0  current is within threshold of baseline (or faster)
-//   1  wall-clock / scaling / tail regression above threshold
+//   1  wall-clock / tail regression above threshold
 //   2  the runs simulated different work (events/frames differ) or a report
 //      could not be read — the comparison itself is meaningless
 //
-// CI uses the default mode as a *soft* gate (continue-on-error): shared
+// CI uses it as a *soft* gate (continue-on-error): shared
 // runners are noisy enough that a hard gate on wall clock would flake, but
 // the log makes the regression visible on every run.
-//
-// --hard adds one non-negotiable check on top: if the single-thread scaling
-// key (events_per_sec_t1) drops more than 15% against baseline, exit 1
-// regardless of --threshold. Rationale: t1 is the parallel core's overhead
-// floor — a big t1 regression means the LP machinery slowed down the
-// sequential path, which is a code problem, not runner noise, so CI runs the
-// --hard invocation without continue-on-error.
-//
-// --merge unions flat JSON reports into one file (later files win on
-// duplicate keys). CI uses it to fold the --threads={1,2,4,8} runs of the
-// same workload into a single BENCH_simperf.json carrying the whole
-// events_per_sec_t{1,2,4,8} scaling curve.
 
 #include <cstdio>
 #include <cstdlib>
@@ -84,60 +71,19 @@ double Get(const std::map<std::string, double>& m, const char* key) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: perfdiff [--threshold=R] [--hard] <baseline.json> <current.json>\n"
-               "       perfdiff --merge <out.json> <in1.json> [<in2.json> ...]\n");
+               "usage: perfdiff [--threshold=R] <baseline.json> <current.json>\n");
   return 2;
-}
-
-// --merge: union the inputs' flat fields into one report, later files
-// winning on duplicate keys. Values round-trip through double, which is
-// exact for every field the reports carry (counts < 2^53, ratios).
-int Merge(int argc, char** argv) {
-  if (argc < 4) {
-    return Usage();
-  }
-  std::map<std::string, double> merged;
-  for (int i = 3; i < argc; ++i) {
-    auto report = LoadReport(argv[i]);
-    if (!report) {
-      return 2;
-    }
-    for (const auto& [key, value] : *report) {
-      merged[key] = value;
-    }
-  }
-  std::FILE* f = std::fopen(argv[2], "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "perfdiff: cannot open %s for writing\n", argv[2]);
-    return 2;
-  }
-  std::fprintf(f, "{");
-  bool first = true;
-  for (const auto& [key, value] : merged) {
-    std::fprintf(f, "%s\n  \"%s\": %.3f", first ? "" : ",", key.c_str(), value);
-    first = false;
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "--merge") == 0) {
-    return Merge(argc, argv);
-  }
-
   double threshold = 0.25;
-  bool hard = false;
   const char* paths[2] = {nullptr, nullptr};
   int n = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
       threshold = std::strtod(argv[i] + 12, nullptr);
-    } else if (std::strcmp(argv[i], "--hard") == 0) {
-      hard = true;
     } else if (n < 2) {
       paths[n++] = argv[i];
     } else {
@@ -179,32 +125,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "perfdiff: REGRESSION: current run is %.0f%% slower than baseline\n",
                  (ratio - 1.0) * 100.0);
     rc = 1;
-  }
-
-  // Scaling-curve gate: any "events_per_sec_t<N>" key present in *both*
-  // reports is a point of the --threads scaling curve. Higher is better, so
-  // a regression is current dropping below baseline by more than the
-  // threshold.
-  for (const auto& [key, base_value] : *base) {
-    if (key.rfind("events_per_sec_t", 0) != 0 || cur->count(key) == 0) {
-      continue;
-    }
-    const double cur_value = (*cur)[key];
-    const double t_ratio = base_value > 0 ? cur_value / base_value : 1.0;
-    std::printf("perfdiff: %s %.0f -> %.0f (%.2fx baseline)\n", key.c_str(), base_value,
-                cur_value, t_ratio);
-    if (t_ratio < 1.0 - threshold) {
-      std::fprintf(stderr, "perfdiff: SCALING REGRESSION: %s is %.0f%% below baseline\n",
-                   key.c_str(), (1.0 - t_ratio) * 100.0);
-      rc = 1;
-    }
-    if (hard && key == "events_per_sec_t1" && t_ratio < 0.85) {
-      std::fprintf(stderr,
-                   "perfdiff: HARD FAILURE: single-thread throughput (%s) dropped %.0f%% "
-                   "(>15%%): the parallel core slowed the sequential path\n",
-                   key.c_str(), (1.0 - t_ratio) * 100.0);
-      rc = 1;
-    }
   }
 
   // Simulated tail-latency gate: any "p999"-prefixed key present in *both*
