@@ -9,10 +9,9 @@ namespace internal {
 
 namespace {
 
-// See FrameBlocksOutstanding(): live-block census for the leak auditor.
-// Process-wide because blocks may be released on a different thread than
-// they were acquired on (the thread-local pools absorb that case too).
-std::atomic<uint64_t> g_blocks_outstanding{0};
+// See FrameBlocksOutstanding(): the live-block census of threads that have
+// exited, folded in by their pools' destructors.
+std::atomic<int64_t> g_exited_blocks_outstanding{0};
 
 // Free lists bucketed by storage capacity: bucket b holds blocks with
 // capacity in [64 << b, 64 << (b+1)). Bucket count covers 64 B .. 4 MiB,
@@ -38,8 +37,13 @@ int BucketFor(size_t capacity) {
 struct FramePool {
   std::array<std::vector<FrameBlock*>, kNumBuckets> buckets;
   FramePoolStats stats;
+  // Blocks acquired minus blocks released on this thread. A block released
+  // on another thread than the one that acquired it leaves +1 here and -1
+  // there, so only the sum over threads is meaningful.
+  int64_t outstanding = 0;
 
   ~FramePool() {
+    g_exited_blocks_outstanding.fetch_add(outstanding, std::memory_order_relaxed);
     for (auto& bucket : buckets) {
       for (FrameBlock* block : bucket) {
         delete block;
@@ -110,18 +114,21 @@ FramePool& Pool() {
 }  // namespace
 
 FrameBlock* AcquireFrameBlock(size_t size) {
-  g_blocks_outstanding.fetch_add(1, std::memory_order_relaxed);
-  return Pool().Acquire(size);
+  FramePool& pool = Pool();
+  ++pool.outstanding;
+  return pool.Acquire(size);
 }
 
 FrameBlock* AdoptFrameBlock(ByteBuffer&& data) {
-  g_blocks_outstanding.fetch_add(1, std::memory_order_relaxed);
-  return Pool().Adopt(std::move(data));
+  FramePool& pool = Pool();
+  ++pool.outstanding;
+  return pool.Adopt(std::move(data));
 }
 
 void ReleaseFrameBlock(FrameBlock* block) {
-  g_blocks_outstanding.fetch_sub(1, std::memory_order_relaxed);
-  Pool().Release(block);
+  FramePool& pool = Pool();
+  --pool.outstanding;
+  pool.Release(block);
 }
 
 }  // namespace internal
@@ -129,7 +136,9 @@ void ReleaseFrameBlock(FrameBlock* block) {
 FramePoolStats GetFramePoolStats() { return internal::Pool().stats; }
 
 uint64_t FrameBlocksOutstanding() {
-  return internal::g_blocks_outstanding.load(std::memory_order_relaxed);
+  return static_cast<uint64_t>(
+      internal::g_exited_blocks_outstanding.load(std::memory_order_relaxed) +
+      internal::Pool().outstanding);
 }
 
 }  // namespace strom

@@ -9,7 +9,9 @@
 //
 // Threading model: each Simulator runs on one thread (the parallel sweep
 // runner gives every worker its own points), so a live FrameBuf is never
-// shared across threads and the reference count is a plain integer.
+// shared across threads and the reference count is a plain integer. The
+// live-block census is per thread too (see FrameBlocksOutstanding): nothing
+// on the acquire/release path is atomic.
 #ifndef SRC_COMMON_FRAME_BUF_H_
 #define SRC_COMMON_FRAME_BUF_H_
 
@@ -330,8 +332,11 @@ FramePoolStats GetFramePoolStats();
 
 // Blocks currently referenced by live FrameBufs/FrameBuilders, process-wide.
 // Blocks parked on a free list don't count. The leak auditor checks this is
-// zero once every simulation object is destroyed; it is a relaxed atomic so
-// the count is exact only at quiescent points, which is all the audit needs.
+// zero once every simulation object is destroyed. Each thread keeps a plain
+// count and folds it into a process-wide total when it exits; this returns
+// that total plus the calling thread's count. It is exact whenever no other
+// thread that touched frames is still running — after ParallelFor joins, or
+// around a serial run — which is where the audits read it.
 uint64_t FrameBlocksOutstanding();
 
 }  // namespace strom

@@ -1,5 +1,8 @@
 #include "src/host/driver.h"
 
+#include <algorithm>
+#include <coroutine>
+#include <memory>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -78,8 +81,9 @@ Result<ByteBuffer> RoceDriver::ReadHost(VirtAddr addr, uint64_t len) const {
 }
 
 uint64_t RoceDriver::ReadHostU64(VirtAddr addr) const {
-  // Hot polling path (PollU64 spins on this): one translate, one in-place
-  // page read, no buffer. Words straddling a page take the general path.
+  // Polling path (PollU64 re-reads on every wake): one translate, one
+  // in-place page read, no buffer. Words straddling a page take the general
+  // path.
   if (HugePageOffset(addr) + 8 <= kHugePageSize) {
     Result<PhysAddr> phys = tlb_.Translate(addr);
     STROM_CHECK(phys.ok()) << phys.status();
@@ -235,13 +239,79 @@ ValueTask<Status> RoceDriver::RpcWrite(uint32_t rpc_opcode, Qpn qpn, VirtAddr or
   co_return state->status;
 }
 
+namespace {
+
+// Parks a poller on its word until a write overlaps it, then resumes it at
+// the first instant of its poll grid at or after the write: the instant a
+// host thread re-checking every `interval` since `checked_at` would first
+// see it. co_await yields that instant, the new grid origin.
+class WordWriteAwaiter {
+ public:
+  WordWriteAwaiter(Simulator& sim, HostMemory& memory, const Tlb& tlb, VirtAddr addr,
+                   SimTime checked_at, SimTime interval)
+      : memory_(memory), tlb_(tlb), addr_(addr),
+        parked_(std::make_shared<Parked>(sim, checked_at, interval)) {}
+  WordWriteAwaiter(const WordWriteAwaiter&) = delete;
+  WordWriteAwaiter& operator=(const WordWriteAwaiter&) = delete;
+  // A poller destroyed while parked (simulation teardown) turns its watches
+  // into no-ops; host memory may already be gone, so they are not removed.
+  ~WordWriteAwaiter() { parked_->handle = nullptr; }
+
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    parked_->handle = h;
+    // A word that crosses a page is watched on both physical segments; the
+    // first write to either wakes the poller, the other watch is spent.
+    SegmentVec segs;
+    Status st = tlb_.ResolveInto(addr_, 8, segs);
+    STROM_CHECK(st.ok()) << st;
+    for (const DmaSegment& seg : segs) {
+      memory_.WatchWrite(seg.phys, seg.length, [p = parked_] { p->OnWrite(); });
+    }
+  }
+  SimTime await_resume() const { return parked_->resume_at; }
+
+ private:
+  struct Parked {
+    Parked(Simulator& s, SimTime at, SimTime every) : sim(s), checked_at(at), interval(every) {}
+    void OnWrite() {
+      if (!handle) {
+        return;
+      }
+      const SimTime since = sim.now() - checked_at;
+      const SimTime ticks = std::max<SimTime>(1, (since + interval - 1) / interval);
+      resume_at = checked_at + ticks * interval;
+      sim.ScheduleAt(resume_at, [h = std::exchange(handle, nullptr)] { h.resume(); });
+    }
+
+    Simulator& sim;
+    SimTime checked_at;
+    SimTime interval;
+    SimTime resume_at = 0;
+    std::coroutine_handle<> handle;
+  };
+
+  HostMemory& memory_;
+  const Tlb& tlb_;
+  VirtAddr addr_;
+  std::shared_ptr<Parked> parked_;
+};
+
+}  // namespace
+
 ValueTask<uint64_t> RoceDriver::PollU64(VirtAddr addr, uint64_t sentinel) {
+  // Event-driven spin (DESIGN.md §7): rather than simulating every idle
+  // re-check, the poller sleeps until a write lands on its word and wakes on
+  // the grid instant its spin loop would have seen it. A write of the
+  // sentinel itself only moves the grid origin.
+  SimTime checked_at = sim_.now();
   while (true) {
     const uint64_t value = ReadHostU64(addr);
     if (value != sentinel) {
       co_return value;
     }
-    co_await Delay(sim_, config_.poll_interval);
+    checked_at = co_await WordWriteAwaiter(sim_, memory_, tlb_, addr, checked_at,
+                                           config_.poll_interval);
   }
 }
 

@@ -26,7 +26,9 @@ struct RdmaBuffer {
 
 struct DriverConfig {
   // Granularity at which a spinning host thread re-checks a polled cache
-  // line (load + compare on an invalidated line).
+  // line (load + compare on an invalidated line). PollU64 does not simulate
+  // the re-checks: this is the grid on which a parked poller resumes after
+  // a write lands on its word, not an event period.
   SimTime poll_interval = Ns(50);
 };
 
@@ -102,6 +104,11 @@ class RoceDriver {
 
   // Spins on the 8-byte word at `addr` until it differs from `sentinel`;
   // returns the observed value (the paper's ping-pong completion detection).
+  // The spin is event-driven: between writes to the word the poller is
+  // parked and schedules nothing, and it returns at the first instant of its
+  // poll_interval grid (counted from the call) at or after the write that
+  // changed the word. A poller whose word is never written leaves no event
+  // behind, so RunUntilIdle returns while it waits.
   ValueTask<uint64_t> PollU64(VirtAddr addr, uint64_t sentinel);
 
   Simulator& sim() { return sim_; }

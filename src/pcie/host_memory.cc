@@ -87,6 +87,29 @@ void HostMemory::Fill(PhysAddr addr, size_t len, uint8_t value) {
   });
 }
 
+void HostMemory::WatchWrite(PhysAddr addr, size_t len, std::function<void()> fire) {
+  STROM_CHECK(len > 0 && len <= kMaxWatchLen) << "watch length " << len;
+  watches_.emplace(addr, Watch{len, std::move(fire)});
+}
+
+void HostMemory::FireWatches(PhysAddr addr, size_t len) {
+  // Disarm every hit before running any callback, so a callback may arm
+  // watches without invalidating this walk.
+  std::vector<std::function<void()>> hits;
+  const PhysAddr lo = addr >= kMaxWatchLen ? addr - (kMaxWatchLen - 1) : 0;
+  for (auto it = watches_.lower_bound(lo); it != watches_.end() && it->first < addr + len;) {
+    if (it->first + it->second.len > addr) {
+      hits.push_back(std::move(it->second.fire));
+      it = watches_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (auto& fire : hits) {
+    fire();
+  }
+}
+
 PhysAddr HostMemory::AllocPage() {
   // Stride of 2 pages leaves an unmapped hole after every page, so accesses
   // that run past a page without a TLB-split fault on zeroed memory in tests.

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -63,7 +64,20 @@ class HostMemory {
       visit(done, MutableByteSpan(page + off, chunk));
       done += chunk;
     }
+    if (!watches_.empty()) {
+      FireWatches(addr, len);
+    }
   }
+
+  // One-shot write watches, the event-driven half of host polling
+  // (RoceDriver::PollU64). WatchWrite arms `fire` on [addr, addr + len),
+  // len <= kMaxWatchLen. The first later write that overlaps the range —
+  // every writer goes through VisitWrite: DMA completions, Write, WriteU64,
+  // Fill — disarms the watch and runs `fire` once, after its bytes are in
+  // place. There is no cancel: a watcher that goes away first makes its
+  // `fire` a no-op.
+  static constexpr size_t kMaxWatchLen = 8;
+  void WatchWrite(PhysAddr addr, size_t len, std::function<void()> fire);
 
   // Convenience scalar accessors (little-endian, matching x86 host layout).
   void WriteU64(PhysAddr addr, uint64_t value);
@@ -86,6 +100,16 @@ class HostMemory {
   const uint8_t* PageForRead(PhysAddr addr) const;
   // Shared all-zero page backing reads of unmapped memory.
   static const uint8_t* ZeroPage();
+  void FireWatches(PhysAddr addr, size_t len);
+
+  struct Watch {
+    size_t len = 0;
+    std::function<void()> fire;
+  };
+  // Armed watches by first watched byte. Ranges are at most kMaxWatchLen
+  // long, so a write [a, a + n) can only hit keys in [a - kMaxWatchLen + 1,
+  // a + n).
+  std::multimap<PhysAddr, Watch> watches_;
 
   std::map<uint64_t, std::unique_ptr<uint8_t[]>> pages_;
   uint64_t next_page_index_ = 1;

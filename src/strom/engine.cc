@@ -193,7 +193,6 @@ void StromEngine::ServiceDmaCommands(Deployed& d) {
       PendingDmaWrite w;
       w.addr = cmd.addr;
       w.length = cmd.length;
-      w.collected.reserve(cmd.length);
       d.dma_writes.push_back(std::move(w));
     } else {
       ++counters_.kernel_dma_reads;
@@ -220,17 +219,25 @@ void StromEngine::CollectDmaWrites(Deployed& d) {
   KernelStreams& s = d.kernel->streams();
   while (!d.dma_writes.empty()) {
     PendingDmaWrite& w = d.dma_writes.front();
-    while (w.collected.size() < w.length && !s.dma_data_out.Empty()) {
-      NetChunk chunk = s.dma_data_out.Pop();
-      w.collected.insert(w.collected.end(), chunk.data.begin(), chunk.data.end());
+    FrameBuf data;
+    if (w.collected.empty() && !s.dma_data_out.Empty() &&
+        s.dma_data_out.Front().data.size() == w.length) {
+      // One chunk carries the whole command (every kernel flush does): the
+      // DMA engine shares its buffer instead of a copy.
+      data = s.dma_data_out.Pop().data;
+    } else {
+      while (w.collected.size() < w.length && !s.dma_data_out.Empty()) {
+        NetChunk chunk = s.dma_data_out.Pop();
+        w.collected.insert(w.collected.end(), chunk.data.begin(), chunk.data.end());
+      }
+      if (w.collected.size() < w.length) {
+        return;  // wait for more data from the kernel
+      }
+      STROM_CHECK_EQ(w.collected.size(), w.length)
+          << "kernel " << d.kernel->name() << " overfilled a DMA write";
+      data = FrameBuf::Adopt(std::move(w.collected));
     }
-    if (w.collected.size() < w.length) {
-      return;  // wait for more data from the kernel
-    }
-    STROM_CHECK_EQ(w.collected.size(), w.length)
-        << "kernel " << d.kernel->name() << " overfilled a DMA write";
-    Status wst = dma_.Write(w.addr, FrameBuf::Adopt(std::move(w.collected)), nullptr,
-                            d.active_trace);
+    Status wst = dma_.Write(w.addr, std::move(data), nullptr, d.active_trace);
     if (!wst.ok()) {
       STROM_LOG(kError) << "kernel DMA write failed: " << wst;
       ++counters_.kernel_dma_errors;

@@ -11,9 +11,9 @@ void Auditor::Violation(const std::string& what) {
   violations_.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr, "[audit] VIOLATION: %s\n", what.c_str());
   std::fflush(stderr);
-  if (recorder_ != nullptr) {
-    recorder_->Record(0, 0, FlightRecordType::kAudit, 0, 0, 0, 0);
-    recorder_->DumpAuto("audit: " + what);
+  if (FlightRecorder* recorder = recorder_.load(); recorder != nullptr) {
+    recorder->Record(0, 0, FlightRecordType::kAudit, 0, 0, 0, 0);
+    recorder->DumpAuto("audit: " + what);
   }
   if (mode_ == Mode::kAbort) {
     std::fflush(stderr);

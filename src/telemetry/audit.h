@@ -42,9 +42,11 @@ class Auditor {
 
   // Post-mortem wiring: the recorder (if any) is dumped with reason
   // "audit:<what>" on the first violation. The metrics snapshot provider is
-  // optional and only evaluated at dump time.
-  void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
-  FlightRecorder* recorder() const { return recorder_; }
+  // optional and only evaluated at dump time. Sweep points running on
+  // --jobs workers share one auditor and each attaches its own recorder, so
+  // the pointer is atomic and the last attach wins.
+  void set_recorder(FlightRecorder* recorder) { recorder_.store(recorder); }
+  FlightRecorder* recorder() const { return recorder_.load(); }
 
   // Reports one failed invariant. `what` should localize the offender, e.g.
   // "leaf0.port3 conservation: enqueued=10 dequeued=8 queued=1".
@@ -65,7 +67,7 @@ class Auditor {
 
  private:
   Mode mode_;
-  FlightRecorder* recorder_ = nullptr;
+  std::atomic<FlightRecorder*> recorder_{nullptr};
   std::atomic<uint64_t> checks_{0};
   std::atomic<uint64_t> violations_{0};
 };

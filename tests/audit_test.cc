@@ -1,15 +1,17 @@
 // Tests for the online conservation auditors (src/telemetry/audit.h): clean
 // runs pass every check, an injected silent drop (a frame that vanishes
 // without touching a drop counter) trips link conservation, a deliberately
-// leaked FrameBuf trips the pool leak sweep, abort mode dies loudly, and an
-// audit violation dumps a flight-recorder bundle whose reason localizes the
-// offender.
+// leaked FrameBuf trips the pool leak sweep (also across worker threads),
+// abort mode dies loudly, and an audit violation dumps a flight-recorder
+// bundle whose reason localizes the offender.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/frame_buf.h"
+#include "src/common/parallel.h"
 #include "src/faults/fault_engine.h"
 #include "src/faults/fault_plan.h"
 #include "src/telemetry/audit.h"
@@ -140,6 +142,31 @@ TEST(Audit, FrameBufLeakSweepTrips) {
   Auditor clean(Auditor::Mode::kWarn);
   clean.Expect(FrameBlocksOutstanding() == before, "frame pool leak");
   EXPECT_EQ(clean.violations(), 0u);
+}
+
+TEST(Audit, FrameBufLeakSweepTripsAcrossWorkers) {
+  // The census is per thread, folded in when a worker exits, so it must be
+  // exact once ParallelFor has joined (the --jobs sweep runner's case).
+  const uint64_t before = FrameBlocksOutstanding();
+  ParallelFor(4, 4, [](size_t i) {
+    std::vector<FrameBuf> frames;
+    for (size_t n = 0; n < 16 * (i + 1); ++n) {
+      frames.push_back(FrameBuf::Allocate(64 << (n % 8)));
+    }
+  });
+  EXPECT_EQ(FrameBlocksOutstanding(), before);
+
+  // A block allocated on a worker and handed to the main thread stays
+  // counted until the main thread releases it.
+  std::vector<FrameBuf> handed(4);
+  ParallelFor(4, 4, [&handed](size_t i) { handed[i] = FrameBuf::Allocate(256); });
+  EXPECT_EQ(FrameBlocksOutstanding(), before + 4);
+  Auditor auditor(Auditor::Mode::kWarn);
+  auditor.Expect(FrameBlocksOutstanding() == before, "frame pool leak");
+  EXPECT_EQ(auditor.violations(), 1u);
+
+  handed.clear();
+  EXPECT_EQ(FrameBlocksOutstanding(), before);
 }
 
 TEST(Audit, ExpectCountsChecksAndViolations) {

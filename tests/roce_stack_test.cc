@@ -3,6 +3,8 @@
 // outstanding-read limits, and bidirectional traffic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/sim/task.h"
 #include "src/testbed/calibration.h"
 #include "src/testbed/testbed.h"
@@ -304,6 +306,173 @@ TEST_F(RoceStackTest, PollingSeesWrittenValue) {
   bed_.node(0).driver().PostWrite(kQp, local_, remote_, 8);
   bed_.sim().RunUntil([&] { return polled; });
   EXPECT_TRUE(polled);
+}
+
+// Event-driven PollU64: a poller parks until its word is written and then
+// resumes on its own poll grid, start + k * poll_interval, at the first
+// instant at or after the write — where a loop re-checking every interval
+// would have seen it.
+class PollGridTest : public RoceStackTest {
+ protected:
+  struct Poll {
+    SimTime done_at = -1;
+    uint64_t value = 0;
+  };
+
+  SimTime interval() { return DriverConfig{}.poll_interval; }
+  Simulator& sim() { return bed_.sim(); }
+  RoceDriver& drv() { return bed_.node(1).driver(); }
+
+  // First instant of the grid started at `start` that is >= `write`, past
+  // `start` itself.
+  SimTime GridAtOrAfter(SimTime start, SimTime write) {
+    const SimTime ticks = std::max<SimTime>(1, (write - start + interval() - 1) / interval());
+    return start + ticks * interval();
+  }
+
+  // Starts PollU64(addr, sentinel) on node 1 at `start`.
+  void StartPoll(SimTime start, VirtAddr addr, uint64_t sentinel, Poll* out) {
+    struct Ctx {
+      RoceDriver& drv;
+      Simulator& sim;
+      VirtAddr addr;
+      uint64_t sentinel;
+      Poll* out;
+    };
+    auto task = [](Ctx c) -> Task {
+      c.out->value = co_await c.drv.PollU64(c.addr, c.sentinel);
+      c.out->done_at = c.sim.now();
+    };
+    sim().ScheduleAt(start, [this, task, ctx = Ctx{drv(), sim(), addr, sentinel, out}] {
+      sim().Spawn(task(ctx));
+    });
+  }
+
+  // Posts an 8-byte DMA write of `value` to node 1's `addr` at `at`;
+  // `*landed` becomes the instant the bytes reach host memory.
+  void DmaWriteAt(SimTime at, VirtAddr addr, uint64_t value, SimTime* landed) {
+    sim().ScheduleAt(at, [this, addr, value, landed] {
+      uint8_t word[8];
+      StoreLe64(word, value);
+      Status st = bed_.node(1).dma().Write(addr, FrameBuf::Copy(ByteSpan(word, 8)),
+                                           [this, landed](Status done) {
+                                             EXPECT_TRUE(done.ok()) << done;
+                                             *landed = sim().now();
+                                           });
+      EXPECT_TRUE(st.ok()) << st;
+    });
+  }
+
+  // Post-to-land delay of an 8-byte DMA write on an idle channel.
+  SimTime DmaWriteDelay() {
+    SimTime landed = -1;
+    const SimTime posted = sim().now();
+    DmaWriteAt(posted, remote_ + 4096, 1, &landed);
+    sim().RunUntilIdle();
+    EXPECT_GT(landed, posted);
+    return landed - posted;
+  }
+};
+
+TEST_F(PollGridTest, WordAlreadySetReturnsWithoutScheduling) {
+  drv().WriteHostU64(remote_, 7);
+  Poll poll;
+  StartPoll(Us(1), remote_, 0, &poll);
+  sim().RunFor(Us(1));  // runs the spawn itself
+  const uint64_t events = sim().events_processed();
+  EXPECT_EQ(poll.done_at, Us(1));
+  EXPECT_EQ(poll.value, 7u);
+  EXPECT_EQ(sim().pending_events(), 0u);
+  sim().RunUntilIdle();
+  EXPECT_EQ(sim().events_processed(), events);
+}
+
+TEST_F(PollGridTest, DmaWriteBetweenGridInstantsResumesAtTheNextOne) {
+  drv().WriteHostU64(remote_, 0);
+  Poll poll;
+  SimTime landed = -1;
+  const SimTime start = Us(1);
+  StartPoll(start, remote_, 0, &poll);
+  DmaWriteAt(start + Ns(3), remote_, 0x42, &landed);
+  sim().RunUntilIdle();
+  ASSERT_GT(landed, start);
+  ASSERT_NE((landed - start) % interval(), 0) << "premise: the write lands off the grid";
+  EXPECT_EQ(poll.value, 0x42u);
+  EXPECT_EQ(poll.done_at, GridAtOrAfter(start, landed));
+  EXPECT_GT(poll.done_at, landed);
+}
+
+TEST_F(PollGridTest, DmaWriteOnAGridInstantResumesAtThatInstant) {
+  const SimTime delay = DmaWriteDelay();
+  ASSERT_LT(delay, 20 * interval());
+  drv().WriteHostU64(remote_, 0);
+  Poll poll;
+  SimTime landed = -1;
+  const SimTime start = sim().now() + Us(1);
+  StartPoll(start, remote_, 0, &poll);
+  DmaWriteAt(start + 20 * interval() - delay, remote_, 0x43, &landed);
+  sim().RunUntilIdle();
+  ASSERT_EQ(landed, start + 20 * interval());
+  EXPECT_EQ(poll.value, 0x43u);
+  EXPECT_EQ(poll.done_at, landed);
+}
+
+TEST_F(PollGridTest, SentinelWriteKeepsWaiting) {
+  drv().WriteHostU64(remote_, 0);
+  Poll poll;
+  SimTime first = -1;
+  SimTime second = -1;
+  const SimTime start = Us(1);
+  StartPoll(start, remote_, 0, &poll);
+  DmaWriteAt(start + Ns(3), remote_, 0, &first);
+  DmaWriteAt(start + Us(2) + Ns(11), remote_, 0x44, &second);
+  sim().RunUntil([&] { return first >= 0; });
+  sim().RunFor(Us(1));
+  EXPECT_EQ(poll.done_at, -1) << "a write of the sentinel must not end the poll";
+  sim().RunUntilIdle();
+  ASSERT_GT(second, first);
+  EXPECT_EQ(poll.value, 0x44u);
+  EXPECT_EQ(poll.done_at, GridAtOrAfter(start, second));
+}
+
+TEST_F(PollGridTest, TwoPollersOnOneWordBothResumeOnTheirOwnGrids) {
+  drv().WriteHostU64(remote_, 0);
+  Poll a;
+  Poll b;
+  SimTime landed = -1;
+  StartPoll(Us(1), remote_, 0, &a);
+  StartPoll(Us(1) + Ns(17), remote_, 0, &b);
+  DmaWriteAt(Us(1) + Ns(40), remote_, 0x45, &landed);
+  sim().RunUntilIdle();
+  EXPECT_EQ(a.value, 0x45u);
+  EXPECT_EQ(b.value, 0x45u);
+  EXPECT_EQ(a.done_at, GridAtOrAfter(Us(1), landed));
+  EXPECT_EQ(b.done_at, GridAtOrAfter(Us(1) + Ns(17), landed));
+  EXPECT_NE(a.done_at, b.done_at);
+}
+
+TEST_F(PollGridTest, HostWritePokeResumesThePoller) {
+  // The YCSB fence path: host software writes the status word itself.
+  drv().WriteHostU64(remote_, 0);
+  Poll poll;
+  const SimTime start = Us(1);
+  StartPoll(start, remote_, 0, &poll);
+  sim().ScheduleAt(start + Ns(120), [this] { drv().WriteHostU64(remote_, 0x46); });
+  sim().RunUntilIdle();
+  EXPECT_EQ(poll.value, 0x46u);
+  EXPECT_EQ(poll.done_at, start + 3 * interval());
+}
+
+TEST_F(PollGridTest, UnwrittenPollerSchedulesNothing) {
+  drv().WriteHostU64(remote_, 0);
+  Poll poll;
+  StartPoll(Us(1), remote_, 0, &poll);
+  sim().RunFor(Us(1));
+  const uint64_t events = sim().events_processed();
+  sim().RunFor(Us(100));
+  EXPECT_EQ(sim().events_processed(), events);
+  EXPECT_EQ(poll.done_at, -1);
+  EXPECT_EQ(bed_.sim().pending_tasks(), 1u);
 }
 
 TEST_F(RoceStackTest, WriteLatencyInPaperRange) {

@@ -74,21 +74,31 @@ class EngineTest : public ::testing::Test {
     return ptr;
   }
 
+  FramePoolStats RunChunkedDmaWrite(uint8_t chunks);
+
   Testbed bed_;
   VirtAddr resp_ = 0;
   VirtAddr remote_ = 0;
 };
 
-TEST_F(EngineTest, DmaWriteCollectedAcrossMultipleChunks) {
+// One 24-byte kernel DMA write delivered as `chunks` equal chunks. Returns
+// the frame-pool stats moved while the engine took the data and posted the
+// write.
+FramePoolStats EngineTest::RunChunkedDmaWrite(uint8_t chunks) {
+  const uint32_t chunk_len = 24 / chunks;
+  FramePoolStats moved;
   ScriptKernel* k = Deploy(0x90);
-  k->on_fire = [this](ScriptKernel& self) -> uint64_t {
-    // One 24-byte DMA write delivered as three 8-byte chunks.
+  k->on_fire = [this, chunks, chunk_len, &moved](ScriptKernel& self) -> uint64_t {
     self.s().dma_cmd_out.Push(MemCmd{remote_, 24, /*is_write=*/true});
-    for (uint8_t i = 0; i < 3; ++i) {
+    for (uint8_t i = 0; i < chunks; ++i) {
       NetChunk chunk;
-      chunk.data = FrameBuf::Adopt(ByteBuffer(8, static_cast<uint8_t>(0xA0 + i)));
-      chunk.last = i == 2;
+      chunk.data = FrameBuf::Adopt(ByteBuffer(chunk_len, static_cast<uint8_t>(0xA0 + i)));
+      chunk.last = i + 1 == chunks;
+      const FramePoolStats before = GetFramePoolStats();
       self.s().dma_data_out.Push(std::move(chunk));
+      const FramePoolStats after = GetFramePoolStats();
+      moved.allocations += after.allocations - before.allocations;
+      moved.reuses += after.reuses - before.reuses;
     }
     return 1;
   };
@@ -96,10 +106,25 @@ TEST_F(EngineTest, DmaWriteCollectedAcrossMultipleChunks) {
   bed_.sim().RunUntilIdle();
 
   ByteBuffer written = *bed_.node(1).driver().ReadHost(remote_, 24);
-  EXPECT_EQ(ByteBuffer(written.begin(), written.begin() + 8), ByteBuffer(8, 0xA0));
-  EXPECT_EQ(ByteBuffer(written.begin() + 8, written.begin() + 16), ByteBuffer(8, 0xA1));
-  EXPECT_EQ(ByteBuffer(written.begin() + 16, written.end()), ByteBuffer(8, 0xA2));
+  for (uint8_t i = 0; i < chunks; ++i) {
+    EXPECT_EQ(ByteBuffer(written.begin() + i * chunk_len, written.begin() + (i + 1) * chunk_len),
+              ByteBuffer(chunk_len, static_cast<uint8_t>(0xA0 + i)))
+        << "chunk " << int(i);
+  }
   EXPECT_EQ(bed_.node(1).engine().counters().kernel_dma_writes, 1u);
+  return moved;
+}
+
+TEST_F(EngineTest, DmaWriteCollectedAcrossMultipleChunks) {
+  const FramePoolStats moved = RunChunkedDmaWrite(3);
+  // Assembly takes one pooled block for the collected bytes.
+  EXPECT_EQ(moved.allocations + moved.reuses, 1u);
+}
+
+TEST_F(EngineTest, SingleChunkDmaWriteSharesTheKernelBuffer) {
+  const FramePoolStats moved = RunChunkedDmaWrite(1);
+  EXPECT_EQ(moved.allocations, 0u);
+  EXPECT_EQ(moved.reuses, 0u) << "the chunk's buffer goes to the DMA engine as is";
 }
 
 TEST_F(EngineTest, ResponseAssembledFromMultipleChunks) {
