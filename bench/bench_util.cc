@@ -15,7 +15,6 @@
 #include "src/common/parallel.h"
 #include "src/common/paranoid.h"
 #include "src/faults/fault_plan.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/perf_stats.h"
 #include "src/sim/task.h"
 #include "src/telemetry/audit.h"
@@ -109,7 +108,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
   std::string fault_plan_path;
   std::string audit_mode;
   std::string postmortem_stem;
-  std::string eventq;
   bool audit = false;
   bool flow_stats = false;
   int out = 1;
@@ -123,8 +121,7 @@ void InitBenchTelemetry(int* argc, char** argv) {
         TakeFlag(argv[i], "--jobs", &jobs) ||
         TakeFlag(argv[i], "--perf-out", &g_perf_out) ||
         TakeFlag(argv[i], "--fault-plan", &fault_plan_path) ||
-        TakeFlag(argv[i], "--postmortem-out", &postmortem_stem) ||
-        TakeFlag(argv[i], "--eventq", &eventq)) {
+        TakeFlag(argv[i], "--postmortem-out", &postmortem_stem)) {
       continue;  // telemetry flag: keep it away from google/benchmark
     }
     if (std::strcmp(argv[i], "--paranoid") == 0) {
@@ -143,12 +140,6 @@ void InitBenchTelemetry(int* argc, char** argv) {
     argv[out++] = argv[i];
   }
   *argc = out;
-  if (!eventq.empty()) {
-    STROM_CHECK(eventq == "heap" || eventq == "wheel")
-        << "--eventq accepts 'heap' or 'wheel', got: " << eventq;
-    SetEventQueueMode(eventq == "wheel" ? EventQueueMode::kWheel
-                                        : EventQueueMode::kHeap);
-  }
   g_jobs = static_cast<int>(std::max(1L, std::strtol(jobs.c_str(), nullptr, 10)));
 
   // Oversubscription guard: each sweep job runs its own testbed on its own

@@ -58,14 +58,6 @@ namespace strom::bench {
 //                          frames.pcapng}" at teardown — and automatically on
 //                          watchdog fire, fatal log, or audit violation
 //                          (decode: stromtrace --postmortem <stem>)
-//   --eventq=heap|wheel    select the event-core layout for every simulator
-//                          built by the run (equivalent to STROM_EVENTQ):
-//                          'heap' (default) is the single indexed 4-ary heap,
-//                          'wheel' adds the hierarchical timing wheel far
-//                          tier + batched same-timestamp dispatch
-//                          (DESIGN.md §12). Same-seed simulated output is
-//                          byte-identical across the two; only wall clock
-//                          and events/sec move.
 
 // Process-wide collector that testbeds and ReportLatency deposit into.
 TelemetryCollector& Collector();

@@ -159,7 +159,7 @@ void Fabric::InitObservability() {
     for (int i = 0; i < num_hosts(); ++i) {
       nodes_[i]->stack().AttachAuditor(d.auditor);
     }
-    d.auditor->set_recorder(flight_recorder_.get());
+    Auditor::set_thread_recorder(flight_recorder_.get());
   }
 }
 
@@ -248,8 +248,8 @@ Fabric::~Fabric() {
     const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
     flight_recorder_->DumpAuto("explicit", &snap);
   }
-  if (d.auditor != nullptr && d.auditor->recorder() == flight_recorder_.get()) {
-    d.auditor->set_recorder(nullptr);
+  if (d.auditor != nullptr) {
+    Auditor::set_thread_recorder(nullptr);
   }
 }
 

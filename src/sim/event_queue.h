@@ -1,33 +1,23 @@
 // Priority queue of timed events. Ties are broken by insertion order so the
 // simulation is fully deterministic.
 //
-// Two-tier event core (DESIGN.md §12). The near tier is an indexed 4-ary
-// min-heap: the heap array holds small {when, seq, slot} nodes (cheap to move
-// and compare), while the callbacks live in a slab of SmallCallback slots
-// recycled through a free list. With the callback's inline buffer this makes
-// the steady-state schedule/fire cycle allocation-free.
-//
-// In wheel mode (--eventq=wheel / STROM_EVENTQ=wheel) a hierarchical timing
-// wheel holds the far-future population: events at `when >= horizon_` go into
-// one of 6 levels x 256 slots (level-0 slot width 2^16 ps ~ 65.5 ns), so a
-// retransmission deadline parked 100 us out costs O(1) to insert, move, or
-// remove and never inflates the near heap. When the heap drains, the earliest
-// occupied wheel slot cascades down (higher-level slots re-scatter into lower
-// levels, level-0 slots empty into the heap) and `horizon_` advances.
-// Determinism is preserved across modes: `seq` is assigned at push in global
-// order regardless of tier, the (when, seq) comparator decides every pop, and
-// cascading carries `seq` along unchanged — so heap and wheel runs pop the
-// exact same event sequence.
+// Event core (DESIGN.md §12): an indexed 4-ary min-heap. The heap array holds
+// small {when, seq, slot} nodes (cheap to move and compare), while the
+// callbacks live in a slab of SmallCallback slots recycled through a free
+// list. With the callback's inline buffer this makes the steady-state
+// schedule/fire cycle allocation-free. The (when, seq) comparator decides
+// every pop, so the pop order depends only on the push order.
 //
 // Cancellable timers: CreateTimer installs a persistent callback in a timer
-// slab; ArmTimer/CancelTimer physically insert/remove the deadline in O(1)
-// (wheel) or O(log n) (heap) instead of letting generation-checked tombstones
-// pop through the queue. Re-arming reuses the installed callback, so a timer
-// that is armed, cancelled, and re-armed millions of times never allocates.
+// slab; ArmTimer/CancelTimer physically insert/remove the deadline in
+// O(log n) instead of letting generation-checked tombstones pop through the
+// queue. Each timer records its heap index, kept current by every node move,
+// so removal needs no search. Re-arming reuses the installed callback, so a
+// timer that is armed, cancelled, and re-armed millions of times never
+// allocates.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -36,15 +26,6 @@
 #include "src/sim/time.h"
 
 namespace strom {
-
-// Process-wide default event-core layout, latched by each EventQueue at
-// construction. First GetEventQueueMode() call reads the STROM_EVENTQ
-// environment variable ("wheel" enables the two-tier core); SetEventQueueMode
-// overrides it (used by --eventq on bench binaries and by tests that compare
-// both modes in-process). Heap is the default until wheel parity is proven.
-enum class EventQueueMode { kHeap, kWheel };
-EventQueueMode GetEventQueueMode();
-void SetEventQueueMode(EventQueueMode mode);
 
 class EventQueue {
  public:
@@ -60,9 +41,6 @@ class EventQueue {
     bool valid() const { return idx != kInvalidTimer; }
   };
 
-  EventQueue() : EventQueue(GetEventQueueMode()) {}
-  explicit EventQueue(EventQueueMode mode);
-
   void Push(SimTime when, Callback fn);
 
   // Installs `fn` as a persistent callback and returns a handle. The timer
@@ -77,11 +55,10 @@ class EventQueue {
   bool CancelTimer(TimerId id);
   bool TimerPending(TimerId id) const;
 
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
-  // Timestamp of the earliest event. May lazily cascade the wheel into the
-  // heap, hence non-const. Precondition: !empty().
-  SimTime NextTime();
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
+  // Timestamp of the earliest event. Precondition: !empty().
+  SimTime NextTime() const;
 
   // Pops and returns the earliest event. Precondition: !empty().
   struct Event {
@@ -102,7 +79,8 @@ class EventQueue {
   void Clear();
 
  private:
-  // --- near tier: indexed 4-ary heap ---------------------------------------
+  static constexpr uint32_t kTimerBit = 0x80000000u;
+
   struct HeapNode {
     SimTime when;
     uint64_t seq;
@@ -117,81 +95,25 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  // --- far tier: hierarchical timing wheel ----------------------------------
-  static constexpr int kWheelLevels = 6;
-  static constexpr int kWheelSlots = 256;  // 8 bits per level
-  static constexpr int kWheelShift = 16;   // level-0 slot width 2^16 ps
-  static constexpr SimTime kSlot0Width = SimTime(1) << kWheelShift;
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr uint32_t kTimerBit = 0x80000000u;
-
-  struct WheelNode {
-    SimTime when = 0;
-    uint64_t seq = 0;
-    uint32_t slot = 0;
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
-    uint32_t bucket = 0;  // level * kWheelSlots + slot index
-  };
-
-  // --- cancellable timer slab ----------------------------------------------
   struct Timer {
     Callback fn;
     uint32_t gen = 0;
-    enum State : uint8_t { kIdle, kInHeap, kInWheel, kInRun } state = kIdle;
-    uint32_t pos = 0;  // heap index (kInHeap) or wheel node index (kInWheel)
+    bool pending = false;
+    uint32_t pos = 0;  // heap index while pending
   };
 
   Timer& CheckedTimer(TimerId id);
+  // Writes `node` at heap index i and, for a timer, records that index.
   void PlaceNode(size_t i, const HeapNode& node);
   void SiftUp(size_t i);
   void SiftDown(size_t i);
   void HeapInsert(const HeapNode& node);
-  // Append without restoring heap order (cascade bulk-load); the caller runs
-  // a Floyd build over the result before the heap is read again.
-  void HeapAppend(const HeapNode& node);
-  void BuildHeap();
   void RemoveHeapAt(size_t pos);
-  void WheelInsert(SimTime when, uint64_t seq, uint32_t slot);
-  void WheelUnlink(uint32_t node_idx);
-  void InsertNode(SimTime when, uint64_t seq, uint32_t slot);
-  void RemovePending(uint32_t idx, Timer& t);
-  // Moves the earliest occupied wheel region into the heap and advances
-  // horizon_. Precondition: heap empty, wheel nonempty.
-  void AdvanceWheel();
-  void EnsureNearTier();
-  // Batched same-timestamp dispatch: when the minimum timestamp covers a
-  // large fraction of the (near) heap, extract the whole run at once and
-  // Floyd-rebuild the remainder instead of re-heapifying per event.
-  void MaybeExtractRun();
-  Event Materialize(const HeapNode& node);
-
-  EventQueueMode mode_;
-  bool batched_;  // batched dispatch rides the wheel mode flag
 
   std::vector<HeapNode> heap_;
   std::vector<Callback> slots_;
   std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
-  size_t size_ = 0;
-
-  SimTime base_ = 0;     // wheel origin, multiple of kSlot0Width
-  SimTime horizon_;      // heap owns [.., horizon_), wheel owns [horizon_, ..)
-  size_t wheel_size_ = 0;
-  std::vector<WheelNode> wnodes_;
-  std::vector<uint32_t> free_wnodes_;
-  std::array<uint32_t, kWheelLevels * kWheelSlots> bucket_;
-  uint64_t occ_[kWheelLevels][kWheelSlots / 64] = {};
-  uint32_t occ_levels_ = 0;  // bit L set iff level L has any occupied slot
-
-  std::vector<HeapNode> run_;      // extracted equal-when run, reverse seq order
-  std::vector<size_t> scratch_;    // DFS stack for run detection
-  // Timestamp whose run probe already failed (run smaller than the batch
-  // threshold). Pops only shrink a run, so the probe is not retried until an
-  // insert, cancel, or cascade changes the heap; without this a just-under-
-  // threshold run would re-walk its whole equal-`when` subtree on every pop.
-  static constexpr SimTime kProbeNone = INT64_MIN;
-  SimTime failed_probe_when_ = kProbeNone;
 
   std::deque<Timer> timers_;  // deque: stable addresses across CreateTimer
 };

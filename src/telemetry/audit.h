@@ -11,8 +11,9 @@
 // default path stays byte-identical and pays nothing.
 //
 // On violation the auditor logs the localized reason (port/QP/link), dumps
-// the attached flight recorder's post-mortem bundle, and — in kAbort mode,
-// the default — aborts the process so CI and chaos soaks fail loudly.
+// the post-mortem bundle of the reporting run's flight recorder, and — in
+// kAbort mode, the default — aborts the process so CI and chaos soaks fail
+// loudly.
 #ifndef SRC_TELEMETRY_AUDIT_H_
 #define SRC_TELEMETRY_AUDIT_H_
 
@@ -40,13 +41,12 @@ class Auditor {
 
   Mode mode() const { return mode_; }
 
-  // Post-mortem wiring: the recorder (if any) is dumped with reason
-  // "audit:<what>" on the first violation. The metrics snapshot provider is
-  // optional and only evaluated at dump time. Sweep points running on
-  // --jobs workers share one auditor and each attaches its own recorder, so
-  // the pointer is atomic and the last attach wins.
-  void set_recorder(FlightRecorder* recorder) { recorder_.store(recorder); }
-  FlightRecorder* recorder() const { return recorder_.load(); }
+  // Post-mortem wiring: the calling thread's recorder (if any) is dumped
+  // with reason "audit:<what>" on the first violation. Sweep points running
+  // on --jobs workers share one auditor, but a point runs entirely on one
+  // worker, so each Testbed/Fabric registers its recorder for its own thread
+  // and a violation dumps the reporting point's recorder, never another's.
+  static void set_thread_recorder(FlightRecorder* recorder);
 
   // Reports one failed invariant. `what` should localize the offender, e.g.
   // "leaf0.port3 conservation: enqueued=10 dequeued=8 queued=1".
@@ -67,7 +67,6 @@ class Auditor {
 
  private:
   Mode mode_;
-  std::atomic<FlightRecorder*> recorder_{nullptr};
   std::atomic<uint64_t> checks_{0};
   std::atomic<uint64_t> violations_{0};
 };

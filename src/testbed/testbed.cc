@@ -30,7 +30,6 @@ void AuditLinkConservation(Auditor& auditor, const std::string& name,
 }
 
 TestbedTelemetryDefaults Testbed::telemetry_defaults;
-thread_local int64_t Testbed::run_ordinal = -1;
 
 Testbed::Testbed(const Profile& profile, int num_nodes)
     : profile_(profile), telemetry_(std::make_unique<Telemetry>()) {
@@ -131,7 +130,7 @@ void Testbed::InitObservability() {
     for (int i = 0; i < num_nodes(); ++i) {
       nodes_[i]->stack().AttachAuditor(d.auditor);
     }
-    d.auditor->set_recorder(flight_recorder_.get());
+    Auditor::set_thread_recorder(flight_recorder_.get());
   }
 }
 
@@ -322,8 +321,8 @@ Testbed::~Testbed() {
     const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
     flight_recorder_->DumpAuto("explicit", &snap);
   }
-  if (d.auditor != nullptr && d.auditor->recorder() == flight_recorder_.get()) {
-    d.auditor->set_recorder(nullptr);
+  if (d.auditor != nullptr) {
+    Auditor::set_thread_recorder(nullptr);
   }
 }
 

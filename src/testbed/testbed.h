@@ -89,7 +89,7 @@ class Testbed {
   // collector merge order, and which runs get pcapng captures depend only on
   // the point's position in the sweep — never on worker scheduling — making
   // --jobs N output byte-identical to --jobs 1.
-  static thread_local int64_t run_ordinal;
+  inline static thread_local int64_t run_ordinal = -1;
 
   Telemetry& telemetry() { return *telemetry_; }
   Tracer& tracer() { return telemetry_->tracer; }

@@ -3,10 +3,15 @@
 // without touching a drop counter) trips link conservation, a deliberately
 // leaked FrameBuf trips the pool leak sweep (also across worker threads),
 // abort mode dies loudly, and an audit violation dumps a flight-recorder
-// bundle whose reason localizes the offender.
+// bundle whose reason localizes the offender — the reporting sweep point's
+// own bundle when several points run on --jobs workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -38,8 +43,13 @@ struct DefaultsGuard {
 // Drives `writes` completed WRITEs across a fresh two-node testbed built
 // under the current telemetry defaults. Returns the silent-drop ground truth
 // from the fault engine (0 when no plan is attached).
-uint64_t RunWrites(const std::string& plan_text, int writes) {
+// `on_built`, if set, runs right after the testbed is constructed.
+uint64_t RunWrites(const std::string& plan_text, int writes,
+                   const std::function<void(Testbed&)>& on_built = {}) {
   Testbed bed(Profile10G());
+  if (on_built) {
+    on_built(bed);
+  }
   if (!plan_text.empty()) {
     Result<FaultPlan> plan = FaultPlan::Parse(plan_text);
     EXPECT_TRUE(plan.ok()) << plan.status();
@@ -125,6 +135,51 @@ TEST(Audit, ViolationDumpsLocalizedBundle) {
   EXPECT_NE(bundle->reason.find("conservation"), std::string::npos)
       << "reason must localize the failed invariant: " << bundle->reason;
   EXPECT_EQ(bundle->hosts.size(), 2u);
+}
+
+TEST(Audit, ViolationDumpsOnlyTheReportingPointsRecorder) {
+  // Two sweep points on two workers share one auditor and each own a flight
+  // recorder. Point 1 builds its testbed after point 0 does, and point 0
+  // then violates link conservation: the dump must be point 0's bundle, and
+  // point 1's clean run must dump nothing.
+  DefaultsGuard guard;
+  Auditor auditor(Auditor::Mode::kWarn);
+  Testbed::telemetry_defaults.auditor = &auditor;
+  Testbed::telemetry_defaults.flight_recorder = true;
+  const std::string stems[2] = {TempPath("audit_point0"), TempPath("audit_point1")};
+  for (const std::string& stem : stems) {
+    std::remove((stem + ".flightrec.bin").c_str());
+  }
+  std::atomic<int> built{0};
+  auto wait_for = [&built](int n) {
+    while (built.load() < n) {
+      std::this_thread::yield();
+    }
+  };
+  // Each point blocks until the other has started, so the two run on
+  // different workers.
+  ParallelFor(2, 2, [&](size_t i) {
+    auto own_stem = [&](Testbed& bed) {
+      bed.flight_recorder()->set_auto_dump_stem(stems[i]);
+      built.fetch_add(1);
+    };
+    if (i == 0) {
+      RunWrites("seed 4\nlink* silent_drop 0us - p=0.2\n", 32, [&](Testbed& bed) {
+        own_stem(bed);
+        wait_for(2);
+      });
+    } else {
+      wait_for(1);
+      RunWrites("", 32, own_stem);
+    }
+  });
+  ASSERT_GT(auditor.violations(), 0u);
+
+  Result<FlightRecordBundle> bundle = LoadFlightRecords(stems[0] + ".flightrec.bin");
+  ASSERT_TRUE(bundle.ok()) << bundle.status();
+  EXPECT_EQ(bundle->reason.rfind("audit: ", 0), 0u) << bundle->reason;
+  EXPECT_FALSE(LoadFlightRecords(stems[1] + ".flightrec.bin").ok())
+      << "a violation on point 0 dumped point 1's recorder";
 }
 
 TEST(Audit, FrameBufLeakSweepTrips) {

@@ -1,13 +1,13 @@
-// Two-tier event core tests (DESIGN.md §12):
-//   * heap-vs-wheel equivalence — the SAME run (one seed, one topology)
-//     executed with --eventq=heap and --eventq=wheel must produce
-//     byte-identical observable output (pcapng SHA-256s, metrics dumps, end
-//     time, op counts) on a fig11-style StRoM shuffle slice and on a 4-host
-//     YCSB rack under a chaos fault plan and under a crash-restart plan,
+// Event core tests (DESIGN.md §12):
+//   * same-seed identity — the SAME run (one seed, one topology) executed
+//     twice in one process must produce byte-identical observable output
+//     (pcapng SHA-256s, metrics dumps, end time, op counts, pop count) on a
+//     fig11-style StRoM shuffle slice and on a 4-host YCSB rack under a
+//     chaos fault plan and under a crash-restart plan,
 //   * cancellation stress — randomized arm/cancel/re-arm churn against a
-//     reference model, in both modes,
-//   * same-timestamp FIFO order under batched dispatch, including a timer
-//     cancelled by an event at its own timestamp (run-buffer purge).
+//     reference model, with near and far deadlines,
+//   * same-timestamp FIFO order, including a timer cancelled by an event at
+//     its own timestamp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,20 +39,16 @@ namespace {
 
 constexpr Qpn kQp = 1;
 
-// Saves/restores the process-wide defaults (telemetry + event-queue mode)
-// around each trial and pins the run ordinal, so the comparison only sees
-// differences caused by the mode under test.
+// Saves/restores the process-wide telemetry defaults around each trial and
+// pins the run ordinal, so a rerun labels its metrics exactly like the first
+// run did.
 struct TrialGuard {
-  TrialGuard() : saved_defaults(Testbed::telemetry_defaults), saved_mode(GetEventQueueMode()) {
-    Testbed::run_ordinal = 0;
-  }
+  TrialGuard() : saved(Testbed::telemetry_defaults) { Testbed::run_ordinal = 0; }
   ~TrialGuard() {
-    Testbed::telemetry_defaults = saved_defaults;
-    SetEventQueueMode(saved_mode);
+    Testbed::telemetry_defaults = saved;
     Testbed::run_ordinal = -1;
   }
-  TestbedTelemetryDefaults saved_defaults;
-  EventQueueMode saved_mode;
+  TestbedTelemetryDefaults saved;
 };
 
 struct TrialOutput {
@@ -72,18 +68,18 @@ void HashCaptures(const std::vector<std::string>& paths, const std::string& pref
   }
 }
 
-void ExpectIdentical(const TrialOutput& heap, const TrialOutput& wheel,
+void ExpectIdentical(const TrialOutput& first, const TrialOutput& rerun,
                      const std::string& what) {
   SCOPED_TRACE(what);
-  EXPECT_EQ(heap.capture_digests, wheel.capture_digests);
-  EXPECT_EQ(heap.metrics_json, wheel.metrics_json);
-  EXPECT_EQ(heap.metrics_csv, wheel.metrics_csv);
-  EXPECT_EQ(heap.end_time, wheel.end_time);
-  EXPECT_EQ(heap.ok, wheel.ok);
-  EXPECT_EQ(heap.errored, wheel.errored);
-  // The wheel physically removes the same cancelled deadlines the heap
-  // does, so even the pop count must agree exactly.
-  EXPECT_EQ(heap.events_processed, wheel.events_processed);
+  EXPECT_EQ(first.capture_digests, rerun.capture_digests);
+  EXPECT_EQ(first.metrics_json, rerun.metrics_json);
+  EXPECT_EQ(first.metrics_csv, rerun.metrics_csv);
+  EXPECT_EQ(first.end_time, rerun.end_time);
+  EXPECT_EQ(first.ok, rerun.ok);
+  EXPECT_EQ(first.errored, rerun.errored);
+  // Cancelled deadlines are physically removed, never popped, so even the
+  // pop count must agree exactly.
+  EXPECT_EQ(first.events_processed, rerun.events_processed);
 }
 
 // ---------------------------------------------------------------------------
@@ -92,12 +88,11 @@ void ExpectIdentical(const TrialOutput& heap, const TrialOutput& wheel,
 // the fig11 bench runs, at 1/1000 scale).
 // ---------------------------------------------------------------------------
 
-TrialOutput RunShuffleSlice(EventQueueMode mode, const std::string& tag) {
+TrialOutput RunShuffleSlice(const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
   Testbed::telemetry_defaults.collector = &collector;
-  SetEventQueueMode(mode);
 
   constexpr uint32_t kPartitionBits = 10;
   constexpr uint32_t kNumPartitions = 1u << kPartitionBits;
@@ -161,12 +156,11 @@ TrialOutput RunShuffleSlice(EventQueueMode mode, const std::string& tag) {
 // the cancellable-timer conversion must not perturb the wire.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbChaosTrial(EventQueueMode mode, const std::string& tag) {
+TrialOutput RunYcsbChaosTrial(const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
   Testbed::telemetry_defaults.collector = &collector;
-  SetEventQueueMode(mode);
 
   YcsbConfig cfg;
   cfg.sessions_per_host = 1000;
@@ -203,16 +197,16 @@ TrialOutput RunYcsbChaosTrial(EventQueueMode mode, const std::string& tag) {
 // Trial 3: the same rack under a crash-restart plan with the full recovery
 // stack armed (leases, backoff reconnects, epoch fencing). Crashes
 // mass-cancel slab timers and restarts re-arm them, which is the harshest
-// churn the wheel's cascade bookkeeping sees — digests must not move.
+// timer churn the event core sees. This is the only same-seed identity check
+// under a crash plan.
 // ---------------------------------------------------------------------------
 
-TrialOutput RunYcsbCrashTrial(EventQueueMode mode, const std::string& tag) {
+TrialOutput RunYcsbCrashTrial(const std::string& tag) {
   TrialGuard guard;
   TelemetryCollector collector;
   Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
   Testbed::telemetry_defaults.collector = &collector;
   Testbed::telemetry_defaults.dump_on_crash = false;  // crashes are the point here
-  SetEventQueueMode(mode);
 
   YcsbConfig cfg;
   cfg.sessions_per_host = 1000;
@@ -256,40 +250,41 @@ TrialOutput RunYcsbCrashTrial(EventQueueMode mode, const std::string& tag) {
   return out;
 }
 
-TEST(EventCoreEquivalence, ShuffleSliceIsByteIdenticalAcrossModes) {
-  const TrialOutput heap = RunShuffleSlice(EventQueueMode::kHeap, "shf_h");
-  const TrialOutput wheel = RunShuffleSlice(EventQueueMode::kWheel, "shf_w");
-  EXPECT_EQ(heap.ok, 1u);
-  EXPECT_FALSE(heap.capture_digests.empty());
-  ExpectIdentical(heap, wheel, "shuffle slice");
+TEST(EventCoreEquivalence, ShuffleSliceIsByteIdenticalAcrossReruns) {
+  const TrialOutput first = RunShuffleSlice("shf_a");
+  const TrialOutput rerun = RunShuffleSlice("shf_b");
+  EXPECT_EQ(first.ok, 1u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun, "shuffle slice");
 }
 
-TEST(EventCoreEquivalence, YcsbRackWithFaultPlanIsByteIdenticalAcrossModes) {
-  const TrialOutput heap = RunYcsbChaosTrial(EventQueueMode::kHeap, "ycsb_h");
-  const TrialOutput wheel = RunYcsbChaosTrial(EventQueueMode::kWheel, "ycsb_w");
-  EXPECT_GT(heap.ok, 0u);
-  EXPECT_FALSE(heap.capture_digests.empty());
-  ExpectIdentical(heap, wheel, "ycsb chaos rack");
+TEST(EventCoreEquivalence, YcsbRackWithFaultPlanIsByteIdenticalAcrossReruns) {
+  const TrialOutput first = RunYcsbChaosTrial("ycsb_a");
+  const TrialOutput rerun = RunYcsbChaosTrial("ycsb_b");
+  EXPECT_GT(first.ok, 0u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun, "ycsb chaos rack");
 }
 
-TEST(EventCoreEquivalence, YcsbRackWithCrashPlanIsByteIdenticalAcrossModes) {
-  const TrialOutput heap = RunYcsbCrashTrial(EventQueueMode::kHeap, "crash_h");
-  const TrialOutput wheel = RunYcsbCrashTrial(EventQueueMode::kWheel, "crash_w");
-  EXPECT_GT(heap.ok, 0u);
-  EXPECT_FALSE(heap.capture_digests.empty());
-  ExpectIdentical(heap, wheel, "ycsb crash-recovery rack");
+TEST(EventCoreEquivalence, YcsbRackWithCrashPlanIsByteIdenticalAcrossReruns) {
+  const TrialOutput first = RunYcsbCrashTrial("crash_a");
+  const TrialOutput rerun = RunYcsbCrashTrial("crash_b");
+  EXPECT_GT(first.ok, 0u);
+  EXPECT_FALSE(first.capture_digests.empty());
+  ExpectIdentical(first, rerun, "ycsb crash-recovery rack");
 }
 
 // ---------------------------------------------------------------------------
 // Cancellation stress: randomized arm/cancel/re-arm/pop churn against a
 // reference model (an ordered set of (when, seq, label) triples). Timestamps
-// mix near (heap-tier) and far (wheel-tier) deadlines so entries migrate
-// through the cascade, and every fire is compared label-for-label.
+// mix near deadlines with ones up to ~0.3 s out, so removals land at every
+// depth of a heap that holds both, and every fire is compared
+// label-for-label.
 // ---------------------------------------------------------------------------
 
-void CancellationStress(EventQueueMode mode, uint64_t seed) {
-  SCOPED_TRACE(mode == EventQueueMode::kHeap ? "heap" : "wheel");
-  EventQueue q(mode);
+void CancellationStress(uint64_t seed) {
+  SCOPED_TRACE(seed);
+  EventQueue q;
   Rng rng(seed);
 
   constexpr int kTimers = 64;
@@ -310,7 +305,7 @@ void CancellationStress(EventQueueMode mode, uint64_t seed) {
   SimTime now = 0;
 
   auto random_when = [&]() -> SimTime {
-    // 1/3 near (within the level-0 slot), 1/3 mid, 1/3 far (high levels).
+    // 1/3 near (~16 ns), 1/3 mid (~4 us), 1/3 far (~0.3 s).
     switch (rng.Below(3)) {
       case 0:
         return now + 1 + SimTime(rng.Below(1 << 14));
@@ -395,28 +390,21 @@ void CancellationStress(EventQueueMode mode, uint64_t seed) {
 }
 
 TEST(EventCoreCancellation, StressMatchesReferenceModelHeap) {
-  CancellationStress(EventQueueMode::kHeap, 17);
-  CancellationStress(EventQueueMode::kHeap, 4242);
-}
-
-TEST(EventCoreCancellation, StressMatchesReferenceModelWheel) {
-  CancellationStress(EventQueueMode::kWheel, 17);
-  CancellationStress(EventQueueMode::kWheel, 4242);
+  CancellationStress(17);
+  CancellationStress(4242);
 }
 
 // ---------------------------------------------------------------------------
-// Same-timestamp FIFO under batched dispatch. A run of equal-`when` events
-// large enough to trigger batch extraction must still fire in insertion
-// order, interleaved one-shots and timers alike — and a timer cancelled by
-// an earlier event at the same timestamp must not fire at all.
+// Same-timestamp FIFO. A long run of equal-`when` events must fire in
+// insertion order, interleaved one-shots and timers alike — and a timer
+// cancelled by an earlier event at the same timestamp must not fire at all.
 // ---------------------------------------------------------------------------
 
-void SameTimestampFifo(EventQueueMode mode) {
-  SCOPED_TRACE(mode == EventQueueMode::kHeap ? "heap" : "wheel");
-  EventQueue q(mode);
+TEST(EventCoreBatching, SameTimestampFifoHeap) {
+  EventQueue q;
   std::vector<int> order;
   constexpr SimTime kT = 5000;
-  constexpr int kRun = 64;  // >= max(4, n/4): triggers batched extraction
+  constexpr int kRun = 64;
 
   std::vector<EventQueue::TimerId> timers;
   for (int i = 0; i < kRun; ++i) {
@@ -442,47 +430,41 @@ void SameTimestampFifo(EventQueueMode mode) {
   EXPECT_EQ(order[kRun + 1], 1001);
 }
 
-TEST(EventCoreBatching, SameTimestampFifoHeap) { SameTimestampFifo(EventQueueMode::kHeap); }
-TEST(EventCoreBatching, SameTimestampFifoWheel) { SameTimestampFifo(EventQueueMode::kWheel); }
-
 TEST(EventCoreBatching, CancelInsideSameTimestampRun) {
   // Event 0 (at T) cancels a timer also scheduled at T that has not fired
-  // yet: the timer's run-buffer entry must be purged, the pop count must
-  // stay exact, and the remaining events keep FIFO order.
-  for (const EventQueueMode mode : {EventQueueMode::kHeap, EventQueueMode::kWheel}) {
-    SCOPED_TRACE(mode == EventQueueMode::kHeap ? "heap" : "wheel");
-    EventQueue q(mode);
-    std::vector<int> order;
-    constexpr SimTime kT = 777;
+  // yet: the timer must be physically removed, the pop count must stay
+  // exact, and the remaining events keep FIFO order.
+  EventQueue q;
+  std::vector<int> order;
+  constexpr SimTime kT = 777;
 
-    EventQueue::TimerId victim = q.CreateTimer([&order] { order.push_back(-1); });
-    EventQueue::TimerId mover = q.CreateTimer([&order] { order.push_back(-2); });
-    q.Push(kT, [&] {
-      order.push_back(0);
-      EXPECT_TRUE(q.CancelTimer(victim));
-      q.ArmTimer(mover, kT + 50);  // re-arm out of the live run
-    });
-    q.ArmTimer(victim, kT);
-    q.ArmTimer(mover, kT);
-    for (int i = 1; i <= 24; ++i) {  // bulk up the equal-when run
-      q.Push(kT, [&order, i] { order.push_back(i); });
-    }
-
-    uint64_t pops = 0;
-    while (!q.empty()) {
-      q.Pop().Run();
-      ++pops;
-    }
-    // 1 canceller + 24 one-shots + the moved timer; the victim never fires.
-    EXPECT_EQ(pops, 26u);
-    ASSERT_EQ(order.size(), 26u);
-    EXPECT_EQ(order[0], 0);
-    for (int i = 1; i <= 24; ++i) {
-      EXPECT_EQ(order[i], i);
-    }
-    EXPECT_EQ(order[25], -2);  // the rescheduled timer fires at kT + 50
-    EXPECT_FALSE(q.TimerPending(victim));
+  EventQueue::TimerId victim = q.CreateTimer([&order] { order.push_back(-1); });
+  EventQueue::TimerId mover = q.CreateTimer([&order] { order.push_back(-2); });
+  q.Push(kT, [&] {
+    order.push_back(0);
+    EXPECT_TRUE(q.CancelTimer(victim));
+    q.ArmTimer(mover, kT + 50);  // re-arm out of the live run
+  });
+  q.ArmTimer(victim, kT);
+  q.ArmTimer(mover, kT);
+  for (int i = 1; i <= 24; ++i) {  // bulk up the equal-when run
+    q.Push(kT, [&order, i] { order.push_back(i); });
   }
+
+  uint64_t pops = 0;
+  while (!q.empty()) {
+    q.Pop().Run();
+    ++pops;
+  }
+  // 1 canceller + 24 one-shots + the moved timer; the victim never fires.
+  EXPECT_EQ(pops, 26u);
+  ASSERT_EQ(order.size(), 26u);
+  EXPECT_EQ(order[0], 0);
+  for (int i = 1; i <= 24; ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  EXPECT_EQ(order[25], -2);  // the rescheduled timer fires at kT + 50
+  EXPECT_FALSE(q.TimerPending(victim));
 }
 
 }  // namespace
