@@ -58,7 +58,9 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   if (arg[len] == '\0') {
-    *out = "1";
+    // Not `*out = "1"`: gcc 12 at -O3 reports a false -Wrestrict on that
+    // inlined copy, which breaks the -Werror build.
+    out->assign(1, '1');
     return true;
   }
   return false;
@@ -99,8 +101,8 @@ void PrintPercentiles(const char* label, const LatencyStats& s) {
 // --metrics-out CSVs carry READ/WRITE/kernel-GET p50/p99/p999 per scenario.
 // Gated on --flow-stats: default metrics dumps stay byte-identical.
 void DepositOpClassRow(const std::string& label, const YcsbReport& r) {
-  if (Testbed::telemetry_defaults.collector == nullptr ||
-      Testbed::telemetry_defaults.flow_sink == nullptr) {
+  if (Fabric::telemetry_defaults.collector == nullptr ||
+      Fabric::telemetry_defaults.flow_sink == nullptr) {
     return;
   }
   MetricsRegistry::Snapshot row;
@@ -118,7 +120,7 @@ void DepositOpClassRow(const std::string& label, const YcsbReport& r) {
   add("read", r.read_lat);
   add("write", r.write_lat);
   add("get", r.get_lat);
-  Testbed::telemetry_defaults.collector->Collect(label, std::move(row));
+  Fabric::telemetry_defaults.collector->Collect(label, std::move(row));
 }
 
 void PrintReport(const char* title, const YcsbReport& r) {

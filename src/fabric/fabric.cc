@@ -1,5 +1,7 @@
 #include "src/fabric/fabric.h"
 
+#include <tuple>
+
 #include "src/common/logging.h"
 #include "src/telemetry/audit.h"
 #include "src/telemetry/flight_recorder.h"
@@ -19,24 +21,52 @@ Ipv4Addr IpForHost(int i) {
   return MakeIp(10, 0, static_cast<uint8_t>(i / 250), static_cast<uint8_t>(i % 250 + 1));
 }
 
+// Frame conservation on both directions of one link: "frames sent =
+// delivered + dropped".
+void AuditLinkConservation(Auditor& auditor, const std::string& name,
+                           const PointToPointLink& link) {
+  for (int side = 0; side < 2; ++side) {
+    const LinkCounters& c = link.counters(side);
+    auditor.NoteCheck();
+    if (c.frames_sent != c.frames_delivered + c.frames_dropped) {
+      auditor.Violation(name + ".side" + std::to_string(side) +
+                        " conservation: sent=" + std::to_string(c.frames_sent) +
+                        " delivered=" + std::to_string(c.frames_delivered) +
+                        " dropped=" + std::to_string(c.frames_dropped));
+    }
+  }
+}
+
+uint8_t CrashOpcode(FaultTargetKind kind) {
+  switch (kind) {
+    case FaultTargetKind::kHost:
+      return 0;
+    case FaultTargetKind::kNic:
+      return 1;
+    default:
+      return 2;  // kSwitch
+  }
+}
+
 }  // namespace
+
+TestbedTelemetryDefaults Fabric::telemetry_defaults;
 
 Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
     : profile_(profile), telemetry_(std::make_unique<Telemetry>()) {
   STROM_CHECK_GE(topo.num_hosts, 2);
-  STROM_CHECK_GE(topo.num_leaves, 1);
-  if (topo.num_leaves == 1) {
-    STROM_CHECK_EQ(topo.num_spines, 0) << "single-switch rack has no spine tier";
+  STROM_CHECK_GE(topo.num_leaves, 0);
+  if (topo.num_leaves == 0) {
+    STROM_CHECK_EQ(topo.num_hosts, 2) << "a direct cable joins exactly two hosts";
+  }
+  if (topo.num_leaves <= 1) {
+    STROM_CHECK_EQ(topo.num_spines, 0) << "a cable or single-switch rack has no spine tier";
   } else {
     STROM_CHECK_GE(topo.num_spines, 1) << "multi-leaf fabric needs a spine tier";
   }
-  if (Testbed::telemetry_defaults.enable_trace) {
-    telemetry_->tracer.Enable(Testbed::telemetry_defaults.sample_every);
+  if (telemetry_defaults.enable_trace) {
+    telemetry_->tracer.Enable(telemetry_defaults.sample_every);
   }
-
-  topo.sw.port_rate_bps = profile.link.rate_bps;
-  topo.sw.ip_mtu = profile.link.ip_mtu;
-  hosts_per_leaf_ = (topo.num_hosts + topo.num_leaves - 1) / topo.num_leaves;
 
   for (int i = 0; i < topo.num_hosts; ++i) {
     arp_.Add(IpForHost(i), MacForHost(i));
@@ -45,73 +75,95 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
     nodes_.push_back(std::make_unique<Node>(sim_, profile, IpForHost(i), MacForHost(i), arp_));
     nodes_.back()->AttachTelemetry(telemetry_.get(), i);
   }
+  auto wire = [](Node* node, PointToPointLink& link, int side) {
+    link.Attach(side, [node](FrameBuf frame, TraceContext trace) {
+      node->OnFrame(std::move(frame), trace);
+    });
+    node->SetFrameSender([&link, side](FrameBuf frame, TraceContext trace) {
+      link.Send(side, std::move(frame), trace);
+    });
+  };
+
+  if (topo.num_leaves == 0) {
+    direct_link_ = std::make_unique<PointToPointLink>(sim_, profile.link);
+    direct_link_->AttachTelemetry(telemetry_.get(), "network");
+    wire(nodes_[0].get(), *direct_link_, 0);
+    wire(nodes_[1].get(), *direct_link_, 1);
+    InitObservability();
+    return;
+  }
+
+  topo.sw.port_rate_bps = profile.link.rate_bps;
+  topo.sw.ip_mtu = profile.link.ip_mtu;
+  num_leaves_ = topo.num_leaves;
+  hosts_per_leaf_ = (topo.num_hosts + topo.num_leaves - 1) / topo.num_leaves;
   for (int l = 0; l < topo.num_leaves; ++l) {
-    leaves_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "leaf" + std::to_string(l)));
+    switches_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "leaf" + std::to_string(l)));
   }
   for (int s = 0; s < topo.num_spines; ++s) {
-    spines_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "spine" + std::to_string(s)));
+    switches_.push_back(std::make_unique<FabricSwitch>(sim_, topo.sw, "spine" + std::to_string(s)));
   }
 
   // Host links.
-  std::vector<int> host_port(topo.num_hosts);
   for (int i = 0; i < topo.num_hosts; ++i) {
-    FabricSwitch& sw = *leaves_[LeafOf(i)];
+    FabricSwitch& sw = leaf(LeafOf(i));
     const int port = sw.AddPort();
-    host_port[i] = port;
-    PointToPointLink& link = sw.PortLink(port);
-    Node* node = nodes_[i].get();
-    link.Attach(0, [node](FrameBuf frame, TraceContext trace) {
-      node->OnFrame(std::move(frame), trace);
-    });
-    node->SetFrameSender([&link](FrameBuf frame, TraceContext trace) {
-      link.Send(0, std::move(frame), trace);
-    });
+    wire(nodes_[i].get(), sw.PortLink(port), 0);
     sw.AddStaticRoute(MacForHost(i), port);
   }
 
   // Leaf-spine cables + static routes: leaf l reaches remote host h through
   // spine h % num_spines; spine s reaches host h through its cable to
   // leaf(h). With exact routes everywhere, nothing floods.
-  std::vector<std::vector<int>> uplink(leaves_.size());    // [leaf][spine] -> leaf port
-  std::vector<std::vector<int>> downlink(spines_.size());  // [spine][leaf] -> spine port
-  for (size_t l = 0; l < leaves_.size(); ++l) {
-    uplink[l].resize(spines_.size());
-  }
-  for (size_t s = 0; s < spines_.size(); ++s) {
-    downlink[s].resize(leaves_.size());
-  }
-  for (size_t l = 0; l < leaves_.size(); ++l) {
-    for (size_t s = 0; s < spines_.size(); ++s) {
-      auto [lp, sp] = leaves_[l]->ConnectTo(*spines_[s]);
-      uplink[l][s] = lp;
-      downlink[s][l] = sp;
+  const int num_sp = topo.num_spines;
+  std::vector<std::vector<int>> uplink(num_leaves_, std::vector<int>(num_sp));  // [leaf][spine]
+  std::vector<std::vector<int>> downlink(num_sp, std::vector<int>(num_leaves_));  // [spine][leaf]
+  for (int l = 0; l < num_leaves_; ++l) {
+    for (int s = 0; s < num_sp; ++s) {
+      std::tie(uplink[l][s], downlink[s][l]) = leaf(l).ConnectTo(spine(s));
     }
   }
   for (int h = 0; h < topo.num_hosts; ++h) {
     const int hl = LeafOf(h);
-    for (size_t l = 0; l < leaves_.size(); ++l) {
-      if (static_cast<int>(l) != hl) {
-        leaves_[l]->AddStaticRoute(MacForHost(h), uplink[l][h % spines_.size()]);
+    for (int l = 0; l < num_leaves_; ++l) {
+      if (l != hl) {
+        leaf(l).AddStaticRoute(MacForHost(h), uplink[l][h % num_sp]);
       }
     }
-    for (size_t s = 0; s < spines_.size(); ++s) {
-      spines_[s]->AddStaticRoute(MacForHost(h), downlink[s][hl]);
+    for (int s = 0; s < num_sp; ++s) {
+      spine(s).AddStaticRoute(MacForHost(h), downlink[s][hl]);
     }
   }
 
-  for (size_t l = 0; l < leaves_.size(); ++l) {
-    leaves_[l]->AttachTelemetry(telemetry_.get(), leaves_[l]->name());
-  }
-  for (size_t s = 0; s < spines_.size(); ++s) {
-    spines_[s]->AttachTelemetry(telemetry_.get(), spines_[s]->name());
+  for (auto& sw : switches_) {
+    sw->AttachTelemetry(telemetry_.get(), sw->name());
   }
   InitObservability();
 }
 
+template <typename Fn>
+void Fabric::ForEachLink(Fn&& fn) {
+  if (direct_link_ != nullptr) {
+    fn("network", *direct_link_);
+  }
+  // Spines own no links (cables belong to the leaf that dialed ConnectTo),
+  // so (leaf, port) order over owned links enumerates every fabric link
+  // exactly once: host links first per leaf, then that leaf's uplinks.
+  for (auto& sw : switches_) {
+    for (int port = 0; port < sw->num_ports(); ++port) {
+      if (sw->OwnsPortLink(port)) {
+        fn(sw->name() + ".port" + std::to_string(port), sw->PortLink(port));
+      }
+    }
+  }
+}
+
 void Fabric::InitObservability() {
-  const TestbedTelemetryDefaults& d = Testbed::telemetry_defaults;
+  const TestbedTelemetryDefaults& d = telemetry_defaults;
   if (!d.capture_prefix.empty()) {
-    int64_t ordinal = Testbed::run_ordinal;
+    // The sweep ordinal (when set) decides which runs capture; the static
+    // counter is the serial fallback and is never touched by sweep workers.
+    int64_t ordinal = run_ordinal;
     if (ordinal < 0) {
       static int capture_counter = 0;
       ordinal = capture_counter++;
@@ -138,10 +190,7 @@ void Fabric::InitObservability() {
     // Flow-stats runs also want the switch-port congestion series; piggyback
     // on the sampler when it is running.
     if (d.sample_interval > 0) {
-      for (auto& sw : leaves_) {
-        sw->AttachFlowSampler(telemetry_.get(), sw->name());
-      }
-      for (auto& sw : spines_) {
+      for (auto& sw : switches_) {
         sw->AttachFlowSampler(telemetry_.get(), sw->name());
       }
     }
@@ -151,45 +200,59 @@ void Fabric::InitObservability() {
     for (int i = 0; i < num_hosts(); ++i) {
       nodes_[i]->stack().AttachFlightRecorder(flight_recorder_.get(), i);
     }
+    // Auto-dump destination for the watchdog/fatal/audit paths; the default
+    // stem keeps audit aborts actionable even without --postmortem-out.
     flight_recorder_->set_auto_dump_stem(
         d.postmortem_stem.empty() ? "postmortem" : d.postmortem_stem);
-    RegisterGlobalFlightRecorder(flight_recorder_.get());
+    SetCurrentFlightRecorder(flight_recorder_.get());
   }
   if (d.auditor != nullptr) {
     for (int i = 0; i < num_hosts(); ++i) {
       nodes_[i]->stack().AttachAuditor(d.auditor);
     }
-    Auditor::set_thread_recorder(flight_recorder_.get());
+  }
+}
+
+Fabric::~Fabric() {
+  const TestbedTelemetryDefaults& d = telemetry_defaults;
+  if (d.auditor != nullptr) {
+    RunTeardownAudits();
+  }
+  if (d.collector != nullptr ||
+      (d.flow_sink != nullptr && flow_stats_ != nullptr)) {
+    int64_t ordinal = run_ordinal;
+    if (ordinal < 0) {
+      static uint64_t run_counter = 0;
+      ordinal = static_cast<int64_t>(run_counter++);
+    }
+    const std::string label = "run" + std::to_string(ordinal) + ":" + profile_.name;
+    if (d.collector != nullptr) {
+      d.collector->Collect(label, *telemetry_, run_ordinal);
+    }
+    if (d.flow_sink != nullptr && flow_stats_ != nullptr) {
+      d.flow_sink->Deposit(label, *flow_stats_, run_ordinal);
+    }
+  }
+  if (flight_recorder_ != nullptr && !d.postmortem_stem.empty()) {
+    const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
+    flight_recorder_->DumpAuto("explicit", &snap);
   }
 }
 
 void Fabric::RunTeardownAudits() {
-  Auditor& auditor = *Testbed::telemetry_defaults.auditor;
-  // Every fabric link, in the same (leaf, port) order ApplyFaultPlan uses.
-  for (auto& sw : leaves_) {
-    for (int port = 0; port < sw->num_ports(); ++port) {
-      if (sw->OwnsPortLink(port)) {
-        AuditLinkConservation(auditor,
-                              sw->name() + ".port" + std::to_string(port),
-                              sw->PortLink(port));
-      }
-    }
-  }
+  Auditor& auditor = *telemetry_defaults.auditor;
+  ForEachLink([&auditor](const std::string& name, const PointToPointLink& link) {
+    AuditLinkConservation(auditor, name, link);
+  });
   // Per-port egress FIFO conservation on every switch.
   uint64_t ce_marked = 0;
-  for (auto& sw : leaves_) {
+  for (auto& sw : switches_) {
     sw->AuditConservation(auditor);
     for (int port = 0; port < sw->num_ports(); ++port) {
       ce_marked += sw->counters(port).ce_marked;
     }
   }
-  for (auto& sw : spines_) {
-    sw->AuditConservation(auditor);
-    for (int port = 0; port < sw->num_ports(); ++port) {
-      ce_marked += sw->counters(port).ce_marked;
-    }
-  }
-  // CE => BECN => CNP ladder across the whole rack: hosts cannot see more CE
+  // CE => BECN => CNP ladder across the topology: hosts cannot see more CE
   // marks than switches applied, echo more BECNs than CE marks seen, or
   // receive more CNPs than BECNs were echoed. Duplicated frames (fault
   // injection) may legitimately inflate the receive-side counts.
@@ -203,7 +266,7 @@ void Fabric::RunTeardownAudits() {
     rx_cnp += c.rx_cnp;
     auditor.NoteCheck();
     if (c.tx_becn > c.rx_ecn_ce) {
-      auditor.Violation("host" + std::to_string(i) +
+      auditor.Violation("node" + std::to_string(i) +
                         " becn ladder: tx_becn=" + std::to_string(c.tx_becn) +
                         " > rx_ecn_ce=" + std::to_string(c.rx_ecn_ce));
     }
@@ -221,35 +284,6 @@ void Fabric::RunTeardownAudits() {
     auditor.Violation("cnp ladder: rx_cnp=" + std::to_string(rx_cnp) +
                       " > tx_becn=" + std::to_string(tx_becn) +
                       " + dup_slack=" + std::to_string(dup_slack));
-  }
-}
-
-Fabric::~Fabric() {
-  const TestbedTelemetryDefaults& d = Testbed::telemetry_defaults;
-  if (d.auditor != nullptr) {
-    RunTeardownAudits();
-  }
-  if (d.collector != nullptr ||
-      (d.flow_sink != nullptr && flow_stats_ != nullptr)) {
-    int64_t ordinal = Testbed::run_ordinal;
-    if (ordinal < 0) {
-      static uint64_t run_counter = 0;
-      ordinal = static_cast<int64_t>(run_counter++);
-    }
-    const std::string label = "run" + std::to_string(ordinal) + ":" + profile_.name;
-    if (d.collector != nullptr) {
-      d.collector->Collect(label, *telemetry_, Testbed::run_ordinal);
-    }
-    if (d.flow_sink != nullptr && flow_stats_ != nullptr) {
-      d.flow_sink->Deposit(label, *flow_stats_, Testbed::run_ordinal);
-    }
-  }
-  if (flight_recorder_ != nullptr && !d.postmortem_stem.empty()) {
-    const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
-    flight_recorder_->DumpAuto("explicit", &snap);
-  }
-  if (d.auditor != nullptr) {
-    Auditor::set_thread_recorder(nullptr);
   }
 }
 
@@ -272,18 +306,10 @@ void Fabric::ApplyFaultPlan(std::shared_ptr<const FaultPlan> plan) {
   STROM_CHECK(fault_engine_ == nullptr) << "fault plan already applied";
   STROM_CHECK(plan != nullptr);
   fault_engine_ = std::make_unique<FaultEngine>(sim_, std::move(plan));
-  // Spines own no links (cables belong to the leaf that dialed ConnectTo),
-  // so (leaf, port) order over owned links enumerates every fabric link
-  // exactly once: host links first per leaf, then that leaf's uplinks.
   int link_ordinal = 0;
-  for (auto& sw : leaves_) {
-    for (int port = 0; port < sw->num_ports(); ++port) {
-      if (sw->OwnsPortLink(port)) {
-        fault_engine_->AttachLink(sw->PortLink(port), 2 * link_ordinal);
-        ++link_ordinal;
-      }
-    }
-  }
+  ForEachLink([this, &link_ordinal](const std::string&, PointToPointLink& link) {
+    fault_engine_->AttachLink(link, 2 * link_ordinal++);
+  });
   for (int i = 0; i < num_hosts(); ++i) {
     fault_engine_->AttachDma(i, nodes_[i]->dma());
   }
@@ -312,9 +338,7 @@ void Fabric::ArmCrashEpisodes() {
           [this, kind, i](const FaultEpisode& ep) { OnRestartEpisode(kind, i, ep); });
     }
   }
-  // Switch numbering in plans: leaves 0..L-1, then spines L..L+S-1.
-  const int num_switches = num_leaves() + num_spines();
-  for (int s = 0; s < num_switches; ++s) {
+  for (int s = 0; s < static_cast<int>(switches_.size()); ++s) {
     fault_engine_->ArmCrashes(
         FaultTargetKind::kSwitch, s, sim_,
         [this, s](const FaultEpisode& ep) {
@@ -326,39 +350,21 @@ void Fabric::ArmCrashEpisodes() {
   }
 }
 
-namespace {
-uint8_t CrashOpcode(FaultTargetKind kind) {
-  switch (kind) {
-    case FaultTargetKind::kHost:
-      return 0;
-    case FaultTargetKind::kNic:
-      return 1;
-    default:
-      return 2;  // kSwitch
-  }
-}
-}  // namespace
-
 void Fabric::OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode& ep) {
-  SimTime now = 0;
   std::string what;
   if (kind == FaultTargetKind::kSwitch) {
-    FabricSwitch& sw = switch_at(index);
-    sw.Crash();
-    now = sim_.now();
-    what = sw.name();
+    switches_[index]->Crash();
+    what = switches_[index]->name();
   } else {
-    Node& n = *nodes_[index];
-    n.Crash(kind);
-    now = n.sim().now();
+    nodes_[index]->Crash(kind);
     what = (kind == FaultTargetKind::kHost ? "host" : "nic") + std::to_string(index);
   }
   if (flight_recorder_ != nullptr) {
     // Switch crashes land in ring 0 (they have no host ring of their own).
     const int ring = kind == FaultTargetKind::kSwitch ? 0 : index;
-    flight_recorder_->Record(now, ring, FlightRecordType::kCrash, CrashOpcode(kind),
+    flight_recorder_->Record(sim_.now(), ring, FlightRecordType::kCrash, CrashOpcode(kind),
                              0, 0, uint32_t(index));
-    if (Testbed::telemetry_defaults.dump_on_crash) {
+    if (telemetry_defaults.dump_on_crash) {
       const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
       flight_recorder_->DumpAuto("crash: " + what, &snap);
     }
@@ -369,18 +375,14 @@ void Fabric::OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode&
 }
 
 void Fabric::OnRestartEpisode(FaultTargetKind kind, int index, const FaultEpisode& ep) {
-  SimTime now = 0;
   if (kind == FaultTargetKind::kSwitch) {
-    switch_at(index).Restart();
-    now = sim_.now();
+    switches_[index]->Restart();
   } else {
-    Node& n = *nodes_[index];
-    n.Restart(kind);
-    now = n.sim().now();
+    nodes_[index]->Restart(kind);
   }
   if (flight_recorder_ != nullptr) {
     const int ring = kind == FaultTargetKind::kSwitch ? 0 : index;
-    flight_recorder_->Record(now, ring, FlightRecordType::kRestart, CrashOpcode(kind),
+    flight_recorder_->Record(sim_.now(), ring, FlightRecordType::kRestart, CrashOpcode(kind),
                              0, 0, uint32_t(index));
   }
   for (const CrashListener& listener : crash_listeners_) {
@@ -398,12 +400,13 @@ std::vector<std::string> Fabric::EnableCapture(const std::string& prefix) {
     paths.push_back(path);
     return captures_.back().get();
   };
-  PcapWriter* fabric_writer = add(prefix + ".fabric.pcapng");
-  for (auto& sw : leaves_) {
-    sw->AttachCapture(fabric_writer);
-  }
-  for (auto& sw : spines_) {
-    sw->AttachCapture(fabric_writer);  // no-op today: spines own no links
+  if (direct_link_ != nullptr) {
+    direct_link_->AttachCapture(add(prefix + ".wire.pcapng"), "wire");
+  } else {
+    PcapWriter* fabric_writer = add(prefix + ".fabric.pcapng");
+    for (auto& sw : switches_) {
+      sw->AttachCapture(fabric_writer);  // a no-op on spines: they own no links
+    }
   }
   for (int i = 0; i < num_hosts(); ++i) {
     nodes_[i]->AttachCapture(add(prefix + ".node" + std::to_string(i) + ".nic.pcapng"), i);
@@ -416,10 +419,10 @@ void Fabric::StartSampling(SimTime interval) {
   for (int i = 0; i < num_hosts(); ++i) {
     nodes_[i]->AttachSampler(telemetry_.get(), i);
   }
-  for (auto& sw : leaves_) {
-    sw->AttachSampler(telemetry_.get(), sw->name());
+  if (direct_link_ != nullptr) {
+    direct_link_->AttachSampler(telemetry_.get(), "network");
   }
-  for (auto& sw : spines_) {
+  for (auto& sw : switches_) {
     sw->AttachSampler(telemetry_.get(), sw->name());
   }
   ScheduleSample(interval);
@@ -428,6 +431,9 @@ void Fabric::StartSampling(SimTime interval) {
 void Fabric::ScheduleSample(SimTime interval) {
   sim_.Schedule(interval, [this, interval] {
     telemetry_->sampler.Sample(sim_.now());
+    // Re-arm only while the sim has other work: the running event has been
+    // popped already, so an empty queue here means everything else is done
+    // and RunUntilIdle() callers are not wedged by the sampler.
     if (sim_.pending_events() > 0) {
       ScheduleSample(interval);
     }

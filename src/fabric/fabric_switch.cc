@@ -151,7 +151,9 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
   }
   MacAddr dst;
   MacAddr src;
-  // Fast path: reuse the TX encoder's memoized MACs (see EthernetSwitch).
+  // Fast path: the TX encoder memoized the MACs; reuse them instead of
+  // re-reading the Ethernet header on every hop. Wire bytes stay
+  // authoritative — a mutated frame has no memo and takes the byte path.
   if (const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>();
       memo != nullptr && !ParanoidMode()) {
     dst = memo->dst_mac;
@@ -159,8 +161,8 @@ void FabricSwitch::OnFrame(int in_port, FrameBuf frame, TraceContext trace) {
   } else {
     std::copy(frame.begin(), frame.begin() + 6, dst.begin());
     std::copy(frame.begin() + 6, frame.begin() + 12, src.begin());
-    if (const RoceFrameMemo* memo = frame.GetMemo<RoceFrameMemo>()) {
-      STROM_CHECK(memo->dst_mac == dst && memo->src_mac == src)
+    if (const RoceFrameMemo* checked = frame.GetMemo<RoceFrameMemo>()) {
+      STROM_CHECK(checked->dst_mac == dst && checked->src_mac == src)
           << "paranoid: memo MACs diverge from wire Ethernet header";
     }
   }

@@ -1,9 +1,9 @@
-// Output-queued Ethernet switch with congestion signaling, the building block
-// of rack-scale topologies (src/fabric/fabric.h). Unlike the store-and-forward
-// EthernetSwitch — whose per-port links hide queueing inside their busy-until
-// cursors — this switch keeps an *explicit* per-port egress FIFO and releases
-// exactly one frame to the wire at a time. That makes queue depth an
-// observable quantity, which is what congestion control needs:
+// Output-queued Ethernet switch with congestion signaling, the one switch
+// model of every switched topology (src/fabric/fabric.h). Each port keeps an
+// *explicit* egress FIFO and releases exactly one frame to the wire at a
+// time, so queue depth is an observable quantity rather than a hidden
+// busy-until offset inside the link — which is what congestion control
+// needs:
 //
 //   * ECN: a frame enqueued while the egress queue is at or above
 //     `ecn_threshold_bytes` is CE-marked in place (if it is ECT; see
@@ -19,7 +19,9 @@
 // Ports come in two flavors: endpoint ports (AddPort — the switch owns the
 // link and transmits on side 1) and cable ports (ConnectTo — the callee owns
 // the link, the peer switch transmits on side 0). Forwarding uses a static
-// MAC table plus source learning, flooding unknown destinations.
+// MAC table plus source learning, flooding unknown destinations. With the
+// queue cap and ECN threshold at SIZE_MAX and PFC off (the Testbed preset) it
+// never drops, marks or pauses: a plain store-and-forward switch.
 #ifndef SRC_FABRIC_FABRIC_SWITCH_H_
 #define SRC_FABRIC_FABRIC_SWITCH_H_
 

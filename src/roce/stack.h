@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "src/common/qpn_map.h"
-#include "src/netsim/switch.h"
+#include "src/netsim/arp_table.h"
 #include "src/pcie/dma_engine.h"
 #include "src/proto/packet.h"
 #include "src/roce/config.h"

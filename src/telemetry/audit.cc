@@ -7,17 +7,11 @@
 
 namespace strom {
 
-namespace {
-thread_local FlightRecorder* t_recorder = nullptr;
-}  // namespace
-
-void Auditor::set_thread_recorder(FlightRecorder* recorder) { t_recorder = recorder; }
-
 void Auditor::Violation(const std::string& what) {
   violations_.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr, "[audit] VIOLATION: %s\n", what.c_str());
   std::fflush(stderr);
-  if (FlightRecorder* recorder = t_recorder) {
+  if (FlightRecorder* recorder = CurrentFlightRecorder()) {
     recorder->Record(0, 0, FlightRecordType::kAudit, 0, 0, 0, 0);
     recorder->DumpAuto("audit: " + what);
   }

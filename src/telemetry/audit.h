@@ -4,7 +4,7 @@
 // for, a FrameBuf block that outlived its run.
 //
 // The Auditor itself is only the violation sink plus bookkeeping; the
-// invariants live next to the state they check (Testbed/Fabric teardown for
+// invariants live next to the state they check (topology teardown for
 // link and port conservation and the CE=>BECN=>CNP ladder, the RoCE stack
 // for inline PSN monotonicity, bench_util for the end-of-process FrameBuf
 // leak sweep). All checks are gated on an Auditor being attached, so the
@@ -25,8 +25,6 @@
 
 namespace strom {
 
-class FlightRecorder;
-
 class Auditor {
  public:
   enum class Mode {
@@ -41,15 +39,12 @@ class Auditor {
 
   Mode mode() const { return mode_; }
 
-  // Post-mortem wiring: the calling thread's recorder (if any) is dumped
-  // with reason "audit:<what>" on the first violation. Sweep points running
-  // on --jobs workers share one auditor, but a point runs entirely on one
-  // worker, so each Testbed/Fabric registers its recorder for its own thread
-  // and a violation dumps the reporting point's recorder, never another's.
-  static void set_thread_recorder(FlightRecorder* recorder);
-
   // Reports one failed invariant. `what` should localize the offender, e.g.
-  // "leaf0.port3 conservation: enqueued=10 dequeued=8 queued=1".
+  // "leaf0.port3 conservation: enqueued=10 dequeued=8 queued=1". The calling
+  // thread's current-run recorder (CurrentFlightRecorder), if any, is dumped
+  // with reason "audit: <what>". Sweep points on --jobs workers share one
+  // auditor, but a point runs entirely on one worker, so a violation dumps
+  // the reporting point's recorder, never another's.
   void Violation(const std::string& what);
   // Convenience: checks `ok` and reports `what` when it does not hold.
   void Expect(bool ok, const std::string& what) {

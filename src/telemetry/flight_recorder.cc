@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <tuple>
 
 #include "src/common/logging.h"
@@ -59,14 +58,11 @@ bool GetU64(const std::string& in, size_t* pos, uint64_t* v) {
   return true;
 }
 
-// Fatal-hook plumbing. The mutex only guards registration; the hook itself
-// runs on the aborting thread and reads a single pointer.
-std::mutex g_recorder_mu;
-FlightRecorder* g_recorder = nullptr;
+// The fatal hook runs on the aborting thread and dumps that thread's run.
+thread_local FlightRecorder* t_current_recorder = nullptr;
 
 void FatalDumpHook() {
-  FlightRecorder* recorder = g_recorder;
-  if (recorder != nullptr) {
+  if (FlightRecorder* recorder = t_current_recorder) {
     recorder->DumpAuto("fatal");
   }
 }
@@ -121,7 +117,11 @@ FlightRecorder::FlightRecorder(int num_hosts, size_t ring_capacity, size_t frame
   }
 }
 
-FlightRecorder::~FlightRecorder() { UnregisterGlobalFlightRecorder(this); }
+FlightRecorder::~FlightRecorder() {
+  if (t_current_recorder == this) {
+    t_current_recorder = nullptr;
+  }
+}
 
 std::vector<FlightRecord> FlightRecorder::HostRecords(int host) const {
   std::vector<FlightRecord> out;
@@ -284,22 +284,11 @@ Result<FlightRecordBundle> LoadFlightRecords(const std::string& path) {
   return bundle;
 }
 
-void RegisterGlobalFlightRecorder(FlightRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(g_recorder_mu);
-  g_recorder = recorder;
+void SetCurrentFlightRecorder(FlightRecorder* recorder) {
+  t_current_recorder = recorder;
   SetFatalHook(&FatalDumpHook);
 }
 
-void UnregisterGlobalFlightRecorder(FlightRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(g_recorder_mu);
-  if (g_recorder == recorder) {
-    g_recorder = nullptr;
-  }
-}
-
-FlightRecorder* GlobalFlightRecorder() {
-  std::lock_guard<std::mutex> lock(g_recorder_mu);
-  return g_recorder;
-}
+FlightRecorder* CurrentFlightRecorder() { return t_current_recorder; }
 
 }  // namespace strom

@@ -205,13 +205,14 @@ struct FlightRecordBundle {
 
 Result<FlightRecordBundle> LoadFlightRecords(const std::string& path);
 
-// Global recorder hook-up for the logging fatal path: while a recorder with a
-// non-empty auto-dump stem is registered, any STROM_CHECK failure or
-// kFatal log (paranoid-mode divergence aborts this way) dumps a bundle
-// before the process aborts. The registration installs the fatal hook once.
-void RegisterGlobalFlightRecorder(FlightRecorder* recorder);
-void UnregisterGlobalFlightRecorder(FlightRecorder* recorder);
-FlightRecorder* GlobalFlightRecorder();
+// The calling thread's current-run recorder. A topology sets it on the thread
+// that builds it (a sweep point runs entirely on one --jobs worker) and the
+// recorder clears it on destruction, so runs on other threads never see it.
+// Any STROM_CHECK failure or kFatal log (paranoid-mode divergence aborts this
+// way) and any Auditor violation dump this recorder before the process
+// aborts. The first call installs the fatal hook.
+void SetCurrentFlightRecorder(FlightRecorder* recorder);
+FlightRecorder* CurrentFlightRecorder();
 
 }  // namespace strom
 

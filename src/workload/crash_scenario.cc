@@ -14,8 +14,8 @@ namespace {
 // Saves/restores the process-wide telemetry defaults so scenario runs compose
 // with whatever the embedding test or tool had configured.
 struct DefaultsGuard {
-  DefaultsGuard() : saved(Testbed::telemetry_defaults) {}
-  ~DefaultsGuard() { Testbed::telemetry_defaults = saved; }
+  DefaultsGuard() : saved(Fabric::telemetry_defaults) {}
+  ~DefaultsGuard() { Fabric::telemetry_defaults = saved; }
   TestbedTelemetryDefaults saved;
 };
 
@@ -45,12 +45,12 @@ CrashScenarioResult RunCrashScenario(const CrashScenarioConfig& config,
   CrashScenarioResult result;
 
   DefaultsGuard guard;
-  Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
+  Fabric::telemetry_defaults = TestbedTelemetryDefaults{};
   // Search loops run hundreds of crashing schedules; a flight-recorder dump
   // per crash would be noise. Replays that want dumps re-enable it.
-  Testbed::telemetry_defaults.dump_on_crash = false;
+  Fabric::telemetry_defaults.dump_on_crash = false;
   Auditor auditor(Auditor::Mode::kWarn);
-  Testbed::telemetry_defaults.auditor = &auditor;
+  Fabric::telemetry_defaults.auditor = &auditor;
 
   const uint64_t frames_before = FrameBlocksOutstanding();
   {

@@ -167,21 +167,21 @@ constexpr int kFabricPoints = 2;
 
 FabricTrial RunFabricTrial(const std::string& tag, int jobs) {
   const std::string prefix = ::testing::TempDir() + "/fabric_det_" + tag;
-  const TestbedTelemetryDefaults saved = Testbed::telemetry_defaults;
-  Testbed::telemetry_defaults.capture_prefix = prefix;
-  Testbed::telemetry_defaults.capture_runs = kFabricPoints;
+  const TestbedTelemetryDefaults saved = Fabric::telemetry_defaults;
+  Fabric::telemetry_defaults.capture_prefix = prefix;
+  Fabric::telemetry_defaults.capture_runs = kFabricPoints;
 
   FabricTrial out;
   out.points.resize(kFabricPoints);
   ParallelFor(kFabricPoints, jobs, [&](size_t i) {
-    Testbed::run_ordinal = static_cast<int64_t>(i);
+    Fabric::run_ordinal = static_cast<int64_t>(i);
     const YcsbReport r = RunIncast(/*cc_enabled=*/true);
     out.points[i] = IncastPoint{r.ce_marked, r.rx_cnp, r.ops_completed,
                                 r.all.count() > 0 ? r.all.Percentile(99.9) : 0};
-    Testbed::run_ordinal = -1;
+    Fabric::run_ordinal = -1;
   });
 
-  Testbed::telemetry_defaults = saved;
+  Fabric::telemetry_defaults = saved;
   for (int run = 0; run < kFabricPoints; ++run) {
     const std::string run_part = run == 0 ? "" : ".run" + std::to_string(run);
     for (const char* kind :

@@ -402,6 +402,44 @@ TEST(FaultE2e, PlanAppliedToSwitchTopologyTargetsPerPortSides) {
   EXPECT_EQ(bed.fault_engine()->counters().frames_dropped, 0u);
 }
 
+TEST(FaultE2e, SwitchedTestbedHonorsSwitchCrash) {
+  // The 3-node testbed's switch is crashable like any fabric switch: a
+  // WRITE in flight when switch0 dies is lost inside the switch, and
+  // go-back-N delivers it intact after the restart.
+  Result<FaultPlan> plan =
+      FaultPlan::Parse("seed 1\nswitch0 crash 10us - restart_after=200us\n");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  Testbed bed(Profile10G(), 3);
+  bed.ApplyFaultPlan(std::make_shared<const FaultPlan>(std::move(*plan)));
+  bed.ConnectQp(0, kQp, 1, kQp);
+  const VirtAddr local = bed.node(0).driver().AllocBuffer(MiB(1))->addr;
+  const VirtAddr remote = bed.node(1).driver().AllocBuffer(MiB(1))->addr;
+  const ByteBuffer data = RandomBytes(32768, 8);
+  ASSERT_TRUE(bed.node(0).driver().WriteHost(local, data).ok());
+
+  // 32KiB at 10G is ~26us of wire time: posted at 0 it is still crossing
+  // the switch when it dies at 10us.
+  bool done = false;
+  SimTime completed_at = 0;
+  bed.node(0).driver().PostWrite(kQp, local, remote, data.size(), [&](Status st) {
+    EXPECT_TRUE(st.ok()) << st;
+    done = true;
+    completed_at = bed.sim().now();
+  });
+  bed.sim().RunUntil([&] { return done; });
+  bed.sim().RunUntilIdle();
+  ASSERT_TRUE(done);
+  EXPECT_GT(completed_at, Us(210)) << "completion must wait for the restart";
+  EXPECT_EQ(*bed.node(1).driver().ReadHost(remote, data.size()), data);
+  FabricSwitch& sw = bed.leaf(0);
+  uint64_t crash_drops = 0;
+  for (int port = 0; port < sw.num_ports(); ++port) {
+    crash_drops += sw.counters(port).crash_drops;
+  }
+  EXPECT_GT(crash_drops + sw.crash_ingress_drops(), 0u);
+}
+
 // --- crash-restart failure domain -------------------------------------------
 
 TEST(CrashE2e, LocalNicCrashFlushesInFlightWriteAndCountsArmedTimers) {

@@ -1,11 +1,13 @@
 // Tests for the flight recorder (src/telemetry/flight_recorder.h): ring
 // semantics, the serialized bundle round-tripping every record type, dump
-// idempotence, same-seed runs producing byte-identical bundles, and the
-// stromtrace post-mortem inspector decoding and cross-checking a bundle.
+// idempotence, same-seed runs producing byte-identical bundles, the
+// per-thread current-run recorder, and the stromtrace post-mortem inspector
+// decoding and cross-checking a bundle.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/frame_buf.h"
@@ -160,6 +162,23 @@ TEST(FlightRecorder, SameSeedRunsProduceByteIdenticalBundles) {
     EXPECT_EQ(bytes_a, ReadFileBytes(b + suffix))
         << suffix << " must be byte-identical across same-seed runs";
   }
+}
+
+TEST(FlightRecorder, CurrentRecorderIsPerThread) {
+  // A run on another thread (a --jobs worker) building and tearing down its
+  // own recorder must leave the recorder this thread's fatal hook and
+  // auditor dump untouched.
+  DefaultsGuard guard;
+  Testbed::telemetry_defaults.flight_recorder = true;
+  Testbed bed(Profile10G());
+  ASSERT_NE(bed.flight_recorder(), nullptr);
+  EXPECT_EQ(CurrentFlightRecorder(), bed.flight_recorder());
+  std::thread other([] {
+    Testbed second(Profile10G());
+    EXPECT_EQ(CurrentFlightRecorder(), second.flight_recorder());
+  });
+  other.join();
+  EXPECT_EQ(CurrentFlightRecorder(), bed.flight_recorder());
 }
 
 TEST(Postmortem, InspectorDecodesAndCrossChecksBundle) {

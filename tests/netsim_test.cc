@@ -1,9 +1,12 @@
 // Unit tests for the link and switch models: serialization timing,
-// propagation, loss/corruption injection, and MAC learning.
+// propagation, loss/corruption injection, and the FabricSwitch's static
+// forwarding, flooding and MAC learning (topologies install exact routes,
+// so only these tests reach the flood and learn paths).
 #include <gtest/gtest.h>
 
+#include "src/fabric/fabric_switch.h"
+#include "src/netsim/arp_table.h"
 #include "src/netsim/link.h"
-#include "src/netsim/switch.h"
 #include "src/sim/simulator.h"
 
 namespace strom {
@@ -224,7 +227,7 @@ ByteBuffer FrameTo(const MacAddr& dst, const MacAddr& src) {
 
 TEST(Switch, ForwardsByStaticRoute) {
   Simulator sim;
-  EthernetSwitch sw(sim, SwitchConfig{});
+  FabricSwitch sw(sim, FabricSwitchConfig{});
   const int p0 = sw.AddPort();
   const int p1 = sw.AddPort();
   const int p2 = sw.AddPort();
@@ -250,7 +253,7 @@ TEST(Switch, ForwardsByStaticRoute) {
 
 TEST(Switch, FloodsUnknownAndLearnsSource) {
   Simulator sim;
-  EthernetSwitch sw(sim, SwitchConfig{});
+  FabricSwitch sw(sim, FabricSwitchConfig{});
   const int p0 = sw.AddPort();
   const int p1 = sw.AddPort();
   const int p2 = sw.AddPort();
