@@ -86,6 +86,7 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
 
   if (topo.num_leaves == 0) {
     direct_link_ = std::make_unique<PointToPointLink>(sim_, profile.link);
+    direct_link_->AttachProbe(&telemetry_->probe, 0);
     direct_link_->AttachTelemetry(telemetry_.get(), "network");
     wire(nodes_[0].get(), *direct_link_, 0);
     wire(nodes_[1].get(), *direct_link_, 1);
@@ -138,6 +139,10 @@ Fabric::Fabric(const Profile& profile, FabricTopologyConfig topo)
   for (auto& sw : switches_) {
     sw->AttachTelemetry(telemetry_.get(), sw->name());
   }
+  int link_id = 0;
+  ForEachLink([this, &link_id](const std::string&, PointToPointLink& link) {
+    link.AttachProbe(&telemetry_->probe, link_id++);
+  });
   InitObservability();
 }
 
@@ -184,9 +189,7 @@ void Fabric::InitObservability() {
   }
   if (d.flow_sink != nullptr) {
     flow_stats_ = std::make_unique<FlowStats>();
-    for (int i = 0; i < num_hosts(); ++i) {
-      nodes_[i]->stack().AttachFlowStats(flow_stats_.get(), i);
-    }
+    telemetry_->probe.Subscribe(flow_stats_.get());
     // Flow-stats runs also want the switch-port congestion series; piggyback
     // on the sampler when it is running.
     if (d.sample_interval > 0) {
@@ -197,9 +200,7 @@ void Fabric::InitObservability() {
   }
   if (d.flight_recorder || !d.postmortem_stem.empty()) {
     flight_recorder_ = std::make_unique<FlightRecorder>(num_hosts());
-    for (int i = 0; i < num_hosts(); ++i) {
-      nodes_[i]->stack().AttachFlightRecorder(flight_recorder_.get(), i);
-    }
+    telemetry_->probe.Subscribe(flight_recorder_.get());
     // Auto-dump destination for the watchdog/fatal/audit paths; the default
     // stem keeps audit aborts actionable even without --postmortem-out.
     flight_recorder_->set_auto_dump_stem(
@@ -359,15 +360,10 @@ void Fabric::OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode&
     nodes_[index]->Crash(kind);
     what = (kind == FaultTargetKind::kHost ? "host" : "nic") + std::to_string(index);
   }
-  if (flight_recorder_ != nullptr) {
-    // Switch crashes land in ring 0 (they have no host ring of their own).
-    const int ring = kind == FaultTargetKind::kSwitch ? 0 : index;
-    flight_recorder_->Record(sim_.now(), ring, FlightRecordType::kCrash, CrashOpcode(kind),
-                             0, 0, uint32_t(index));
-    if (telemetry_defaults.dump_on_crash) {
-      const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
-      flight_recorder_->DumpAuto("crash: " + what, &snap);
-    }
+  EmitCrashEvent(ProbeKind::kCrash, kind, index);
+  if (flight_recorder_ != nullptr && telemetry_defaults.dump_on_crash) {
+    const MetricsRegistry::Snapshot snap = telemetry_->metrics.Snap();
+    flight_recorder_->DumpAuto("crash: " + what, &snap);
   }
   for (const CrashListener& listener : crash_listeners_) {
     listener(ep, /*restarted=*/false);
@@ -380,13 +376,18 @@ void Fabric::OnRestartEpisode(FaultTargetKind kind, int index, const FaultEpisod
   } else {
     nodes_[index]->Restart(kind);
   }
-  if (flight_recorder_ != nullptr) {
-    const int ring = kind == FaultTargetKind::kSwitch ? 0 : index;
-    flight_recorder_->Record(sim_.now(), ring, FlightRecordType::kRestart, CrashOpcode(kind),
-                             0, 0, uint32_t(index));
-  }
+  EmitCrashEvent(ProbeKind::kRestart, kind, index);
   for (const CrashListener& listener : crash_listeners_) {
     listener(ep, /*restarted=*/true);
+  }
+}
+
+void Fabric::EmitCrashEvent(ProbeKind probe_kind, FaultTargetKind kind, int index) {
+  if (telemetry_->probe.on()) {
+    // Switch crashes land in host ring 0 (they have no ring of their own).
+    telemetry_->probe.Emit({.kind = probe_kind, .opcode = CrashOpcode(kind),
+                            .src = kind == FaultTargetKind::kSwitch ? 0 : index,
+                            .aux = uint32_t(index), .t = sim_.now()});
   }
 }
 
@@ -400,16 +401,21 @@ std::vector<std::string> Fabric::EnableCapture(const std::string& prefix) {
     paths.push_back(path);
     return captures_.back().get();
   };
-  if (direct_link_ != nullptr) {
-    direct_link_->AttachCapture(add(prefix + ".wire.pcapng"), "wire");
-  } else {
-    PcapWriter* fabric_writer = add(prefix + ".fabric.pcapng");
-    for (auto& sw : switches_) {
-      sw->AttachCapture(fabric_writer);  // a no-op on spines: they own no links
-    }
+  if (capture_tap_ == nullptr) {
+    capture_tap_ = std::make_unique<PcapTap>();
+    telemetry_->probe.Subscribe(capture_tap_.get());
   }
+  // Link taps follow the probe's link ids: the cable is interface "wire",
+  // switch-owned links "<switch>.port<i>", all in one file.
+  PcapWriter* link_writer =
+      add(prefix + (direct_link_ != nullptr ? ".wire.pcapng" : ".fabric.pcapng"));
+  int link_id = 0;
+  ForEachLink([&](const std::string& name, PointToPointLink&) {
+    capture_tap_->TapWire(link_id++, link_writer, direct_link_ != nullptr ? "wire" : name);
+  });
   for (int i = 0; i < num_hosts(); ++i) {
-    nodes_[i]->AttachCapture(add(prefix + ".node" + std::to_string(i) + ".nic.pcapng"), i);
+    const std::string process = "node" + std::to_string(i);
+    capture_tap_->TapNic(i, add(prefix + "." + process + ".nic.pcapng"), process);
   }
   return paths;
 }

@@ -38,16 +38,23 @@ class FlowStats;
 class FlowStatsSink;
 
 // Process-wide telemetry defaults applied to every topology at construction.
-// bench_util sets these from --trace-out/--metrics-out/--trace-sample so all
-// bench binaries gain telemetry export without per-bench changes.
+// bench_util sets these from its telemetry flags so all bench binaries gain
+// telemetry export without per-bench changes. The RoCE stacks, liveness
+// monitors, links and crash handling report their events once into the
+// run's probe (src/telemetry/probe.h); pcapng capture, flow stats and the
+// flight recorder below are the probe's subscribers, created only when
+// switched on, and the NIC/wire trace spans subscribe for sampled traces.
+// With all of them off each hook site costs one branch.
 struct TestbedTelemetryDefaults {
+  // Span tracing: every `sample_every`-th message gets a sampled trace.
   bool enable_trace = false;
   uint32_t sample_every = 1;
   // When set, each destructed topology deposits its run here (metrics
   // snapshot + trace events), labeled "run<N>:<profile name>".
   TelemetryCollector* collector = nullptr;
-  // When non-empty, the first `capture_runs` constructed topologies tap
-  // their wire and NIC boundaries into pcapng files named
+  // When non-empty, the first `capture_runs` constructed topologies
+  // subscribe a PcapTap that records their wire and NIC boundaries into
+  // pcapng files named
   // "<capture_prefix>[.runN].{wire,fabric,node<i>.nic}.pcapng". Benches build
   // one topology per iteration, so the default of 1 captures only the first.
   std::string capture_prefix;
@@ -66,12 +73,13 @@ struct TestbedTelemetryDefaults {
   // leaves every check compiled out of the hot path behind a single null
   // test.
   Auditor* auditor = nullptr;
-  // When set (bench_util --flow-stats), each run collects per-QP flow stats
-  // and a sampled DCQCN timeline and deposits them here at teardown under
-  // the same "run<N>:<profile>" label as the metrics collector.
+  // When set (bench_util --flow-stats), each run subscribes a FlowStats that
+  // collects per-QP flow stats and a sampled DCQCN timeline, and deposits
+  // them here at teardown under the same "run<N>:<profile>" label as the
+  // metrics collector.
   FlowStatsSink* flow_sink = nullptr;
-  // When true (bench_util --audit / --postmortem-out), every run keeps a
-  // flight recorder ring of recent protocol events. A non-empty
+  // When true (bench_util --audit / --postmortem-out), every run subscribes
+  // a flight recorder ring of recent protocol events and frames. A non-empty
   // postmortem_stem both (a) arms auto-dump on watchdog/fatal/audit events
   // and (b) forces an explicit bundle dump at teardown.
   bool flight_recorder = false;
@@ -159,11 +167,12 @@ class Fabric {
     crash_listeners_.push_back(std::move(listener));
   }
 
-  // Taps the wire and each node's NIC boundary into pcapng files under
-  // `prefix`: "<prefix>.wire.pcapng" (interface "wire") on the cable, or
-  // "<prefix>.fabric.pcapng" (interfaces "<switch>.port<i>.*") behind
-  // switches, plus "<prefix>.node<i>.nic.pcapng". Returns the created file
-  // paths. Call before generating traffic (interfaces precede packets).
+  // Subscribes the run's PcapTap (once) and taps the wire and each node's
+  // NIC boundary into pcapng files under `prefix`: "<prefix>.wire.pcapng"
+  // (interface "wire") on the cable, or "<prefix>.fabric.pcapng" (interfaces
+  // "<switch>.port<i>.*") behind switches, plus "<prefix>.node<i>.nic.pcapng".
+  // Returns the created file paths. Call before generating traffic
+  // (interfaces precede packets).
   std::vector<std::string> EnableCapture(const std::string& prefix);
 
   // Registers every component's sampler probes and starts a periodic
@@ -186,6 +195,7 @@ class Fabric {
   void ArmCrashEpisodes();
   void OnCrashEpisode(FaultTargetKind kind, int index, const FaultEpisode& ep);
   void OnRestartEpisode(FaultTargetKind kind, int index, const FaultEpisode& ep);
+  void EmitCrashEvent(ProbeKind probe_kind, FaultTargetKind kind, int index);
 
   Profile profile_;
   Simulator sim_;
@@ -197,8 +207,10 @@ class Fabric {
   std::unique_ptr<PointToPointLink> direct_link_;         // cable topology
   std::vector<std::unique_ptr<FabricSwitch>> switches_;  // leaves, then spines
   std::unique_ptr<FaultEngine> fault_engine_;
+  // Probe subscribers (see InitObservability / EnableCapture).
   std::unique_ptr<FlowStats> flow_stats_;
   std::unique_ptr<FlightRecorder> flight_recorder_;
+  std::unique_ptr<PcapTap> capture_tap_;
   std::vector<std::unique_ptr<PcapWriter>> captures_;
   std::vector<CrashListener> crash_listeners_;
 };

@@ -56,15 +56,6 @@ std::pair<int, int> FabricSwitch::ConnectTo(FabricSwitch& peer) {
 
 void FabricSwitch::AddStaticRoute(const MacAddr& mac, int port) { mac_table_[mac] = port; }
 
-void FabricSwitch::AttachCapture(PcapWriter* writer) {
-  for (size_t port = 0; port < ports_.size(); ++port) {
-    if (ports_[port].owned_link != nullptr) {
-      ports_[port].owned_link->AttachCapture(
-          writer, name_ + ".port" + std::to_string(port));
-    }
-  }
-}
-
 void FabricSwitch::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
   for (size_t port = 0; port < ports_.size(); ++port) {
     const std::string prefix = process + ".port" + std::to_string(port) + ".";

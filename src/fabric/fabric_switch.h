@@ -90,9 +90,6 @@ class FabricSwitch {
 
   void AddStaticRoute(const MacAddr& mac, int port);
 
-  // Taps every *owned* link (cable peer ends are tapped by the owner, so a
-  // cable appears once). Interfaces are "<switch name>.port<i>.{0to1,1to0}".
-  void AttachCapture(PcapWriter* writer);
   // Per-port gauges under "<process>.port<i>.*".
   void AttachTelemetry(Telemetry* telemetry, const std::string& process);
   // Per-port sampler probes: instantaneous queue_bytes plus cumulative

@@ -31,10 +31,10 @@ void LivenessMonitor::Start() {
   }
 }
 
-void LivenessMonitor::Record(FlightRecordType type, const Peer& p) const {
-  if (recorder_ != nullptr) {
-    recorder_->Record(sim_.now(), host_index_, type, /*opcode=*/0, /*qpn=*/0,
-                      /*psn=*/uint32_t(p.attempt), /*aux=*/uint32_t(p.index));
+void LivenessMonitor::Emit(ProbeKind kind, const Peer& p) const {
+  if (probe_->on()) {
+    probe_->Emit({.kind = kind, .src = host_index_, .psn = uint32_t(p.attempt),
+                  .aux = uint32_t(p.index), .t = sim_.now()});
   }
 }
 
@@ -62,7 +62,7 @@ void LivenessMonitor::DeclareDead(Peer& p) {
   p.state = PeerState::kDead;
   p.attempt = 0;
   p.backoff = config_.backoff_initial;
-  Record(FlightRecordType::kPeerDead, p);
+  Emit(ProbeKind::kPeerDead, p);
   ArmBackoff(p, p.backoff);
 }
 
@@ -79,12 +79,12 @@ void LivenessMonitor::OnTimer(size_t peer_slot) {
       return;
     case PeerState::kDead: {
       ++counters_.reconnect_attempts;
-      Record(FlightRecordType::kReconnectAttempt, p);
+      Emit(ProbeKind::kReconnectAttempt, p);
       if (p.alive()) {
         p.reconnect(p.attempt);
         ++counters_.leases_acquired;
         p.state = PeerState::kHealthy;
-        Record(FlightRecordType::kLeaseAcquired, p);
+        Emit(ProbeKind::kLeaseAcquired, p);
         p.attempt = 0;
         ArmLease(p);
         return;
@@ -131,7 +131,7 @@ void LivenessMonitor::OnLocalRestart() {
     p.state = PeerState::kDead;
     p.attempt = 0;
     p.backoff = config_.backoff_initial;
-    Record(FlightRecordType::kPeerDead, p);
+    Emit(ProbeKind::kPeerDead, p);
     ArmBackoff(p, p.backoff);
   }
 }
@@ -146,6 +146,7 @@ bool LivenessMonitor::PeerHealthy(int peer) const {
 }
 
 void LivenessMonitor::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
+  probe_ = &telemetry->probe;
   const std::string prefix = process + ".liveness.";
   auto gauge = [&](const char* name, const uint64_t& field) {
     telemetry->metrics.AddGauge(prefix + name, [&field] { return double(field); });

@@ -6,7 +6,7 @@
 //                 keepalive probe renews the lease in place (Reschedule — no
 //                 allocation, no new handle).
 //   kDead         the probe failed: the peer is declared dead (kPeerDead
-//                 flight record) and the same timer re-arms as an
+//                 probe event) and the same timer re-arms as an
 //                 exponential-backoff reconnect attempt.
 //   kAbandoned    max_attempts exhausted (only with max_attempts > 0).
 //
@@ -18,7 +18,7 @@
 //
 // The reconnect closure performs the out-of-band fresh-PSN handshake
 // (Fabric::ReconnectQp) once the peer probes alive again; the monitor then
-// records kLeaseAcquired and returns to kHealthy.
+// reports kLeaseAcquired and returns to kHealthy.
 #ifndef SRC_HOST_LIVENESS_H_
 #define SRC_HOST_LIVENESS_H_
 
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/telemetry.h"
 
 namespace strom {
@@ -81,7 +80,8 @@ class LivenessMonitor {
   // gates posting on this to avoid spraying ops into a known-dead peer.
   bool PeerHealthy(int peer) const;
 
-  void AttachFlightRecorder(FlightRecorder* recorder) { recorder_ = recorder; }
+  // Registers the counter gauges under `process` and reports lease and
+  // peer events into the run's probe.
   void AttachTelemetry(Telemetry* telemetry, const std::string& process);
 
   const LivenessCounters& counters() const { return counters_; }
@@ -103,14 +103,14 @@ class LivenessMonitor {
   void ArmBackoff(Peer& p, SimTime delay);
   void OnTimer(size_t peer_slot);
   void DeclareDead(Peer& p);
-  void Record(FlightRecordType type, const Peer& p) const;
+  void Emit(ProbeKind kind, const Peer& p) const;
 
   Simulator& sim_;
   int host_index_;
   LivenessConfig config_;
   std::vector<Peer> peers_;
   LivenessCounters counters_;
-  FlightRecorder* recorder_ = nullptr;
+  const Probe* probe_ = &Probe::Off();
   bool started_ = false;
 };
 

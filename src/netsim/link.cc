@@ -16,10 +16,13 @@ PointToPointLink::~PointToPointLink() {
   AddSimFramesSent(sides_[0].counters.frames_sent + sides_[1].counters.frames_sent);
 }
 
+void PointToPointLink::AttachProbe(const Probe* probe, int link_id) {
+  probe_ = probe;
+  link_id_ = link_id;
+}
+
 void PointToPointLink::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
-  tracer_ = &telemetry->tracer;
-  sides_[0].track = tracer_->RegisterTrack(process, "wire 0->1");
-  sides_[1].track = tracer_->RegisterTrack(process, "wire 1->0");
+  telemetry->spans.AddWire(link_id_, process);
   for (int side = 0; side < 2; ++side) {
     const std::string prefix = process + ".link" + std::to_string(side) + ".";
     const LinkCounters& c = sides_[side].counters;
@@ -38,12 +41,6 @@ void PointToPointLink::AttachTelemetry(Telemetry* telemetry, const std::string& 
     telemetry->metrics.AddGauge(prefix + "frames_duplicated",
                                 [&c] { return double(c.frames_duplicated); });
   }
-}
-
-void PointToPointLink::AttachCapture(PcapWriter* writer, const std::string& name_prefix) {
-  capture_ = writer;
-  sides_[0].capture_if = writer->AddInterface(name_prefix + ".0to1");
-  sides_[1].capture_if = writer->AddInterface(name_prefix + ".1to0");
 }
 
 void PointToPointLink::AttachSampler(Telemetry* telemetry, const std::string& process) {
@@ -100,8 +97,9 @@ void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
     ++tx.counters.frames_oversize;
     STROM_LOG(kWarning) << "dropping oversize frame: " << frame.size() << " > "
                         << config_.EthMtu();
-    if (capture_ != nullptr) {
-      capture_->WritePacket(tx.capture_if, sim_.now(), frame, "oversize");
+    if (probe_->on(trace)) {
+      probe_->Emit({.kind = ProbeKind::kWireOversize, .src = link_id_, .side = side,
+                    .t = sim_.now(), .trace = trace, .frame = &frame});
     }
     return;
   }
@@ -145,12 +143,9 @@ void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
   }
   if (drop) {
     ++tx.counters.frames_dropped;
-    if (capture_ != nullptr) {
-      std::string comment = "dropped";
-      if (trace.sampled()) {
-        comment += " trace_id=" + std::to_string(trace.id);
-      }
-      capture_->WritePacket(tx.capture_if, tx_done, frame, comment);
+    if (probe_->on(trace)) {
+      probe_->Emit({.kind = ProbeKind::kWireDrop, .src = link_id_, .side = side, .t = tx_done,
+                    .trace = trace, .frame = &frame});
     }
     return;
   }
@@ -168,33 +163,16 @@ void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
     frame[pos] ^= 0xA5;
   }
 
-  if (fault.extra_delay > 0 || fault.reorder) {
+  const bool delayed = fault.extra_delay > 0 || fault.reorder;
+  if (delayed) {
     ++tx.counters.frames_reordered;
   }
-
-  if (capture_ != nullptr) {
-    std::string comment;
-    if (corrupted) {
-      comment = "corrupted";
-    }
-    if (fault.extra_delay > 0 || fault.reorder) {
-      if (!comment.empty()) {
-        comment += ' ';
-      }
-      comment += "delayed";
-    }
-    if (trace.sampled()) {
-      if (!comment.empty()) {
-        comment += ' ';
-      }
-      comment += "trace_id=" + std::to_string(trace.id);
-    }
-    capture_->WritePacket(tx.capture_if, tx_done, frame, comment);
-  }
-
   const SimTime arrival = tx_done + config_.propagation + fault.extra_delay;
-  if (trace.sampled() && tracer_ != nullptr) {
-    tracer_->Span(trace, tx.track, "wire", start, arrival);
+  if (probe_->on(trace)) {
+    const int fate = (corrupted ? kWireCorrupted : 0) | (delayed ? kWireDelayed : 0);
+    probe_->Emit({.kind = ProbeKind::kWireSend, .detail = uint8_t(fate), .src = link_id_,
+                  .side = side, .t = tx_done, .begin = start, .end = arrival, .trace = trace,
+                  .frame = &frame});
   }
   if (fault.duplicate) {
     // Deliver a second copy one serialization time later, as if the frame
@@ -202,9 +180,9 @@ void PointToPointLink::Send(int side, FrameBuf frame, TraceContext trace) {
     // artifact, so it doesn't consume transmit bandwidth (busy_until).
     ++tx.counters.frames_duplicated;
     const SimTime dup_arrival = arrival + TransferTime(wire_bytes, config_.rate_bps);
-    if (capture_ != nullptr) {
-      capture_->WritePacket(tx.capture_if, dup_arrival - config_.propagation, frame,
-                            "duplicated");
+    if (probe_->on(trace)) {
+      probe_->Emit({.kind = ProbeKind::kWireDuplicate, .src = link_id_, .side = side,
+                    .t = dup_arrival - config_.propagation, .trace = trace, .frame = &frame});
     }
     Deliver(1 - side, dup_arrival, frame, trace);
   }

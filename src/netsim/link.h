@@ -15,7 +15,6 @@
 #include "src/common/units.h"
 #include "src/proto/headers.h"
 #include "src/sim/simulator.h"
-#include "src/telemetry/pcap_writer.h"
 #include "src/telemetry/telemetry.h"
 
 namespace strom {
@@ -68,15 +67,14 @@ class PointToPointLink {
 
   const LinkConfig& config() const { return config_; }
 
-  // Registers the wire tracks and per-side counter gauges.
-  void AttachTelemetry(Telemetry* telemetry, const std::string& process);
+  // Reports every frame entering Send() — sent, dropped, duplicated,
+  // oversize, with its corrupt/delay fate — into `probe` as link `link_id`.
+  // The owning topology numbers links in fault-plan order.
+  void AttachProbe(const Probe* probe, int link_id);
 
-  // Taps both directions of the link into `writer` (one pcapng interface per
-  // direction, named "<name_prefix>.0to1" / "<name_prefix>.1to0"). Every
-  // frame entering Send() is captured — including dropped, corrupted and
-  // oversize ones, annotated via opt_comment — so the file shows what was
-  // put on the wire, not what survived it. Must be called before traffic.
-  void AttachCapture(PcapWriter* writer, const std::string& name_prefix);
+  // Registers per-side counter gauges and the wire span tracks under
+  // `process`. Call after AttachProbe (the tracks are keyed by link id).
+  void AttachTelemetry(Telemetry* telemetry, const std::string& process);
 
   // Registers per-side link-utilization probes (fraction of line rate used
   // since the previous sample) with the telemetry sampler.
@@ -130,8 +128,6 @@ class PointToPointLink {
     int delay_next = 0;
     SimTime delay_next_amount = 0;
     LinkCounters counters;
-    TrackId track = kInvalidTrack;
-    uint32_t capture_if = 0;
   };
 
   void Deliver(int rx_side, SimTime arrival, FrameBuf frame, TraceContext trace);
@@ -139,8 +135,8 @@ class PointToPointLink {
   Simulator& sim_;
   LinkConfig config_;
   std::array<Side, 2> sides_;
-  Tracer* tracer_ = nullptr;
-  PcapWriter* capture_ = nullptr;
+  const Probe* probe_ = &Probe::Off();
+  int link_id_ = 0;
   FaultHook fault_hook_;
 };
 

@@ -6,8 +6,6 @@
 
 #include "src/common/logging.h"
 #include "src/telemetry/audit.h"
-#include "src/telemetry/flight_recorder.h"
-#include "src/telemetry/flow_stats.h"
 
 namespace strom {
 
@@ -42,11 +40,11 @@ RoceStack::RoceStack(Simulator& sim, RoceConfig config, DmaEngine& dma, Ipv4Addr
   timer_.SetExpiryHandler([this](Qpn qpn) { OnTimeout(qpn); });
 }
 
-void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process) {
-  tracer_ = &telemetry->tracer;
-  tx_track_ = tracer_->RegisterTrack(process, "nic.tx");
-  rx_track_ = tracer_->RegisterTrack(process, "nic.rx");
-  msg_track_ = tracer_->RegisterTrack(process, "nic.msg");
+void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process,
+                                int host_index) {
+  probe_ = &telemetry->probe;
+  host_index_ = host_index;
+  telemetry->spans.AddNic(host_index, process);
 
   const std::string prefix = process + ".roce.";
   auto gauge = [&](const char* name, const uint64_t& field) {
@@ -103,12 +101,6 @@ void RoceStack::AttachTelemetry(Telemetry* telemetry, const std::string& process
   read_latency_us_ = telemetry->metrics.AddHistogram(prefix + "read_latency_us", bounds);
 }
 
-void RoceStack::AttachCapture(PcapWriter* writer, const std::string& process) {
-  capture_ = writer;
-  capture_tx_if_ = writer->AddInterface(process + ".nic.tx");
-  capture_rx_if_ = writer->AddInterface(process + ".nic.rx");
-}
-
 void RoceStack::AttachSampler(Telemetry* telemetry, const std::string& process) {
   const std::string prefix = process + ".roce.";
   TimeSeriesSampler& s = telemetry->sampler;
@@ -127,16 +119,6 @@ void RoceStack::AttachSampler(Telemetry* telemetry, const std::string& process) 
   s.AddProbe(prefix + "multi_queue_occupancy", [this](SimTime) {
     return double(multi_queue_.total_elements() - multi_queue_.free_elements());
   });
-}
-
-void RoceStack::AttachFlowStats(FlowStats* stats, int host_index) {
-  flow_stats_ = stats;
-  host_index_ = host_index;
-}
-
-void RoceStack::AttachFlightRecorder(FlightRecorder* recorder, int host_index) {
-  flight_recorder_ = recorder;
-  host_index_ = host_index;
 }
 
 void RoceStack::AttachAuditor(Auditor* auditor) { auditor_ = auditor; }
@@ -467,9 +449,7 @@ bool RoceStack::TrySendNextDataPacket() {
     pkt.bth.becn = true;
     qp.ce_to_echo = false;
     ++counters_.tx_becn;
-    if (flow_stats_ != nullptr) {
-      flow_stats_->OnBecnTx(sim_.now(), host_index_, wr->req.qpn);
-    }
+    Report(ProbeKind::kBecnTx, wr->req.qpn);
   }
 
   if (wr->is_read_response) {
@@ -576,19 +556,13 @@ void RoceStack::CompleteWr(const WrPtr& wr, const Status& status) {
     if (hist != nullptr && status.ok()) {
       hist->Observe(double(sim_.now() - wr->posted_at) / 1e6);
     }
-    if (flow_stats_ != nullptr && status.ok()) {
-      flow_stats_->OnCompletion(sim_.now(), host_index_, wr->req.qpn, wr->req.length,
-                                double(sim_.now() - wr->posted_at) / 1e6);
-    }
-    if (wr->req.trace.sampled() && tracer_ != nullptr) {
-      const char* name = "WRITE";
-      switch (wr->req.kind) {
-        case WorkRequest::Kind::kWrite:    name = "WRITE"; break;
-        case WorkRequest::Kind::kRead:     name = "READ"; break;
-        case WorkRequest::Kind::kRpc:      name = "RPC"; break;
-        case WorkRequest::Kind::kRpcWrite: name = "RPC_WRITE"; break;
-      }
-      tracer_->Span(wr->req.trace, msg_track_, name, wr->posted_at, sim_.now());
+    if (probe_->on(wr->req.trace)) {
+      // Indexed by WorkRequest::Kind.
+      static constexpr const char* kVerb[] = {"WRITE", "READ", "RPC", "RPC_WRITE"};
+      probe_->Emit({.kind = ProbeKind::kCompletion, .ok = status.ok(), .src = host_index_,
+                    .qpn = wr->req.qpn, .t = sim_.now(), .begin = wr->posted_at,
+                    .end = sim_.now(), .bytes = wr->req.length,
+                    .label = kVerb[size_t(wr->req.kind)], .trace = wr->req.trace});
     }
   }
   if (wr->req.on_complete) {
@@ -606,11 +580,6 @@ void RoceStack::EmitFrame(const RocePacket& pkt) {
   STROM_CHECK(arp_.Lookup(pkt.dst_ip, &dst_mac))
       << "no ARP entry for " << IpToString(pkt.dst_ip);
   FrameBuf frame = EncodeRoceFrame(local_mac_, dst_mac, pkt);
-  if (capture_ != nullptr) {
-    capture_->WritePacket(capture_tx_if_, sim_.now(), frame,
-                          pkt.trace.sampled() ? "trace_id=" + std::to_string(pkt.trace.id)
-                                              : std::string());
-  }
   ++counters_.tx_packets;
   if (pkt.bth.opcode == IbOpcode::kAck) {
     ++counters_.tx_acks;
@@ -618,28 +587,20 @@ void RoceStack::EmitFrame(const RocePacket& pkt) {
       ++counters_.tx_naks;
     }
   }
-  if (flight_recorder_ != nullptr) {
-    const SimTime now = sim_.now();
-    flight_recorder_->Record(now, host_index_, FlightRecordType::kTx,
-                             uint8_t(pkt.bth.opcode), pkt.bth.dest_qp, pkt.bth.psn,
-                             uint32_t(frame.size()));
-    if (pkt.bth.opcode == IbOpcode::kAck && pkt.aeth.has_value() &&
-        pkt.aeth->syndrome != AckSyndrome::kAck) {
-      flight_recorder_->Record(now, host_index_, FlightRecordType::kNak,
-                               uint8_t(pkt.aeth->syndrome), pkt.bth.dest_qp, pkt.bth.psn,
-                               0);
-    }
-    flight_recorder_->RecordFrame(now, host_index_, /*tx=*/true, frame);
-  }
 
   // Fixed TX pipeline latency plus the store-and-forward ICRC pass (one cycle
   // per data word, paper §7). The order cursor keeps the pipeline FIFO.
   const SimTime words = static_cast<SimTime>(pkt.Words(config_.data_width));
   const SimTime latency = (config_.tx_pipeline_cycles + words) * config_.clock_ps;
   tx_order_cursor_ = std::max(tx_order_cursor_, sim_.now() + latency);
-  if (pkt.trace.sampled() && tracer_ != nullptr) {
-    tracer_->Span(pkt.trace, tx_track_, std::string("tx:") + IbOpcodeName(pkt.bth.opcode),
-                  sim_.now(), tx_order_cursor_);
+  if (probe_->on(pkt.trace)) {
+    const bool ack = pkt.bth.opcode == IbOpcode::kAck && pkt.aeth.has_value();
+    probe_->Emit({.kind = ProbeKind::kNicTx, .opcode = uint8_t(pkt.bth.opcode),
+                  .detail = uint8_t(ack ? uint8_t(pkt.aeth->syndrome) : 0),  // kAck = 0
+                  .src = host_index_, .qpn = pkt.bth.dest_qp, .psn = pkt.bth.psn,
+                  .aux = uint32_t(frame.size()), .t = sim_.now(), .begin = sim_.now(),
+                  .end = tx_order_cursor_, .label = IbOpcodeName(pkt.bth.opcode),
+                  .trace = pkt.trace, .frame = &frame});
   }
   sim_.ScheduleAt(tx_order_cursor_,
                   [this, epoch = crash_epoch_, f = std::move(frame),
@@ -687,45 +648,29 @@ void RoceStack::PumpTx() {
 
 void RoceStack::OnFrame(FrameBuf frame, TraceContext trace) {
   Result<RocePacket> parsed = ParseRoceFrame(frame);
-  if (capture_ != nullptr) {
-    std::string comment;
-    if (!parsed.ok()) {
-      comment = parsed.status().code() == StatusCode::kDataLoss ? "rx_drop=icrc"
-                                                                : "rx_drop=malformed";
-    }
-    if (trace.sampled()) {
-      if (!comment.empty()) {
-        comment += ' ';
-      }
-      comment += "trace_id=" + std::to_string(trace.id);
-    }
-    capture_->WritePacket(capture_rx_if_, sim_.now(), frame, comment);
-  }
   if (!parsed.ok()) {
-    if (parsed.status().code() == StatusCode::kDataLoss) {
-      ++counters_.icrc_drops;
-    } else {
-      ++counters_.malformed_drops;
+    const bool icrc = parsed.status().code() == StatusCode::kDataLoss;
+    ++(icrc ? counters_.icrc_drops : counters_.malformed_drops);
+    if (probe_->on(trace)) {
+      probe_->Emit({.kind = ProbeKind::kNicRxDrop,
+                    .detail = uint8_t(icrc ? kRxDropIcrc : kRxDropMalformed),
+                    .src = host_index_, .t = sim_.now(), .trace = trace, .frame = &frame});
     }
     return;
   }
   ++counters_.rx_packets;
-  if (flight_recorder_ != nullptr) {
-    const SimTime now = sim_.now();
-    flight_recorder_->Record(now, host_index_, FlightRecordType::kRx,
-                             uint8_t(parsed->bth.opcode), parsed->bth.dest_qp,
-                             parsed->bth.psn, uint32_t(frame.size()));
-    flight_recorder_->RecordFrame(now, host_index_, /*tx=*/false, frame);
-  }
   parsed->trace = trace;
   // RX pipeline: parse stages + State Table FSM + store-and-forward ICRC.
   // The order cursor keeps the pipeline FIFO across packet sizes.
   const SimTime words = static_cast<SimTime>(parsed->Words(config_.data_width));
   const SimTime latency = (config_.rx_pipeline_cycles + words) * config_.clock_ps;
   rx_order_cursor_ = std::max(rx_order_cursor_, sim_.now() + latency);
-  if (trace.sampled() && tracer_ != nullptr) {
-    tracer_->Span(trace, rx_track_, std::string("rx:") + IbOpcodeName(parsed->bth.opcode),
-                  sim_.now(), rx_order_cursor_);
+  if (probe_->on(trace)) {
+    probe_->Emit({.kind = ProbeKind::kNicRx, .opcode = uint8_t(parsed->bth.opcode),
+                  .src = host_index_, .qpn = parsed->bth.dest_qp, .psn = parsed->bth.psn,
+                  .aux = uint32_t(frame.size()), .t = sim_.now(), .begin = sim_.now(),
+                  .end = rx_order_cursor_, .label = IbOpcodeName(parsed->bth.opcode),
+                  .trace = trace, .frame = &frame});
   }
   sim_.ScheduleAt(rx_order_cursor_,
                   [this, epoch = crash_epoch_, pkt = std::move(*parsed)]() mutable {
@@ -781,21 +726,17 @@ void RoceStack::ProcessPacket(RocePacket pkt) {
   if (pkt.ecn_ce) {
     ++counters_.rx_ecn_ce;
     Qp(qpn).ce_to_echo = true;
-    if (flow_stats_ != nullptr) {
-      flow_stats_->OnCe(sim_.now(), host_index_, qpn);
-    }
+    Report(ProbeKind::kCe, qpn);
   }
   if (pkt.bth.becn) {
     ++counters_.rx_cnp;
     OnCnp(qpn);
-    const QpState::Dcqcn& cc = Qp(qpn).cc;
-    if (flight_recorder_ != nullptr) {
-      flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kCnp,
-                               uint8_t(pkt.bth.opcode), qpn, pkt.bth.psn,
-                               uint32_t(uint64_t(cc.rate_bps) >> 20));
-    }
-    if (flow_stats_ != nullptr) {
-      flow_stats_->OnCnp(sim_.now(), host_index_, qpn, cc.rate_bps, cc.alpha);
+    if (probe_->on()) {
+      const QpState::Dcqcn& cc = Qp(qpn).cc;
+      probe_->Emit({.kind = ProbeKind::kCnp, .opcode = uint8_t(pkt.bth.opcode),
+                    .src = host_index_, .qpn = qpn, .psn = pkt.bth.psn,
+                    .aux = uint32_t(uint64_t(cc.rate_bps) >> 20), .t = sim_.now(),
+                    .rate_bps = cc.rate_bps, .alpha = cc.alpha});
     }
   }
   switch (pkt.bth.opcode) {
@@ -989,9 +930,7 @@ void RoceStack::SendAck(Qpn local_qpn, Psn psn, AckSyndrome syndrome, TraceConte
     ack.bth.becn = true;
     qp.ce_to_echo = false;
     ++counters_.tx_becn;
-    if (flow_stats_ != nullptr) {
-      flow_stats_->OnBecnTx(sim_.now(), host_index_, local_qpn);
-    }
+    Report(ProbeKind::kBecnTx, local_qpn);
   }
   ack.trace = trace;
   AethHeader aeth;
@@ -1203,13 +1142,7 @@ void RoceStack::RetransmitFrom(Qpn qpn, Psn psn) {
       retransmit_queue_.push_back(desc);
     }
   }
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kRetransmit, 0,
-                             qpn, psn, uint32_t(retransmit_queue_.size()));
-  }
-  if (flow_stats_ != nullptr) {
-    flow_stats_->OnRetransmit(sim_.now(), host_index_, qpn);
-  }
+  Report(ProbeKind::kRetransmit, qpn, psn, uint32_t(retransmit_queue_.size()));
   if (!retransmit_queue_.empty()) {
     timer_.RearmBackoff(qpn);
   }
@@ -1223,14 +1156,8 @@ void RoceStack::OnTimeout(Qpn qpn) {
     return;
   }
   ++counters_.timeouts;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kTimeout, 0,
-                             qpn, state_table_.Entry(qpn).oldest_unacked,
-                             uint32_t(qp.consecutive_retries + 1));
-  }
-  if (flow_stats_ != nullptr) {
-    flow_stats_->OnTimeout(sim_.now(), host_index_, qpn);
-  }
+  Report(ProbeKind::kTimeout, qpn, state_table_.Entry(qpn).oldest_unacked,
+         qp.consecutive_retries + 1);
   if (++qp.consecutive_retries > config_.retry_limit) {
     ErrorQp(qpn, UnavailableError("retry budget exhausted (" +
                                   std::to_string(config_.retry_limit) +
@@ -1334,10 +1261,7 @@ void RoceStack::ErrorQp(Qpn qpn, const Status& status) {
   }
   st.phase = QpPhase::kError;
   ++counters_.qp_errors;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kQpState, 0,
-                             qpn, st.oldest_unacked, /*aux=*/1);
-  }
+  Report(ProbeKind::kQpState, qpn, st.oldest_unacked, /*aux=*/1);  // -> Error
   STROM_LOG(kWarning) << "QP " << qpn << " -> Error: " << status;
   FlushQp(qpn, status);
   if (qp_error_handler_) {
@@ -1353,10 +1277,7 @@ Status RoceStack::ResetQp(Qpn qpn) {
     return Status::Ok();
   }
   ++counters_.qp_resets;
-  if (flight_recorder_ != nullptr) {
-    flight_recorder_->Record(sim_.now(), host_index_, FlightRecordType::kQpState, 0,
-                             qpn, state_table_.Entry(qpn).oldest_unacked, /*aux=*/0);
-  }
+  Report(ProbeKind::kQpState, qpn, state_table_.Entry(qpn).oldest_unacked, /*aux=*/0);
   FlushQp(qpn, UnavailableError("QP reset"));
   state_table_.Deactivate(qpn);
   msn_table_.Entry(qpn) = MsnTableEntry{};
@@ -1454,9 +1375,9 @@ void RoceStack::OnCnp(Qpn qpn) {
   cc.last_cut = sim_.now();
   cc.last_increase = sim_.now();  // recovery restarts from the cut
   ++counters_.dcqcn_rate_cuts;
-  if (flow_stats_ != nullptr) {
-    flow_stats_->OnRateChange(sim_.now(), host_index_, qpn, /*cut=*/true, cc.rate_bps,
-                              cc.alpha);
+  if (probe_->on()) {
+    probe_->Emit({.kind = ProbeKind::kRateCut, .src = host_index_, .qpn = qpn,
+                  .t = sim_.now(), .rate_bps = cc.rate_bps, .alpha = cc.alpha});
   }
 }
 
@@ -1484,9 +1405,9 @@ void RoceStack::MaybeRecoverRate(Qpn qpn, QpState::Dcqcn& cc) {
   }
   // One timeline event per recovery batch keeps the sampled DCQCN timeline
   // proportional to sim time rather than to the pump-scan rate.
-  if (increased && flow_stats_ != nullptr) {
-    flow_stats_->OnRateChange(sim_.now(), host_index_, qpn, /*cut=*/false, cc.rate_bps,
-                              cc.alpha);
+  if (increased && probe_->on()) {
+    probe_->Emit({.kind = ProbeKind::kRateIncrease, .src = host_index_, .qpn = qpn,
+                  .t = sim_.now(), .rate_bps = cc.rate_bps, .alpha = cc.alpha});
   }
 }
 

@@ -28,14 +28,11 @@
 #include "src/roce/state_table.h"
 #include "src/roce/work_request.h"
 #include "src/sim/simulator.h"
-#include "src/telemetry/pcap_writer.h"
 #include "src/telemetry/telemetry.h"
 
 namespace strom {
 
 class Auditor;
-class FlightRecorder;
-class FlowStats;
 
 class RoceStack {
  public:
@@ -66,27 +63,14 @@ class RoceStack {
   // Entry point for frames arriving from the Ethernet interface.
   void OnFrame(FrameBuf frame, TraceContext trace = {});
 
-  // Registers TX/RX/message tracks, RoceCounters gauges and per-verb latency
-  // histograms under `process` (e.g. "node0").
-  void AttachTelemetry(Telemetry* telemetry, const std::string& process);
-
-  // Taps the stack's NIC boundary into `writer`: interface "<process>.nic.tx"
-  // records every frame as encoded (pre-wire), "<process>.nic.rx" every frame
-  // as it arrives from the Ethernet interface (post-wire, before parsing).
-  // Diffing the two against the link capture separates stack bugs from wire
-  // faults. Must be called before traffic.
-  void AttachCapture(PcapWriter* writer, const std::string& process);
+  // Registers RoceCounters gauges, per-verb latency histograms and the
+  // TX/RX/message span tracks under `process` (e.g. "node0"), and emits this
+  // stack's protocol events into the run's probe as host `host_index`, the
+  // name audit violations use too.
+  void AttachTelemetry(Telemetry* telemetry, const std::string& process, int host_index);
 
   // Registers queue-depth and occupancy probes with the telemetry sampler.
   void AttachSampler(Telemetry* telemetry, const std::string& process);
-
-  // Per-flow stats hooks (RTT, goodput, retransmits, DCQCN timeline);
-  // `host_index` labels this stack's flows in the export. Null detaches.
-  void AttachFlowStats(FlowStats* stats, int host_index);
-
-  // Flight-recorder hooks: protocol events (TX/RX/NAK/CNP/QP transitions)
-  // plus the last-N frames at the NIC boundary. Null detaches.
-  void AttachFlightRecorder(FlightRecorder* recorder, int host_index);
 
   // Inline protocol audits: responder ePSN must only advance forward, the
   // requester's cumulative ACK must never retire more than is outstanding.
@@ -250,6 +234,14 @@ class RoceStack {
   void FlushQp(Qpn qpn, const Status& status);
 
   QpState& Qp(Qpn qpn);
+  // Emits a frameless, untraced event of this host; one branch when nothing
+  // subscribes.
+  void Report(ProbeKind kind, Qpn qpn, Psn psn = 0, uint32_t aux = 0) const {
+    if (probe_->on()) {
+      probe_->Emit({.kind = kind, .src = host_index_, .qpn = qpn, .psn = psn, .aux = aux,
+                    .t = sim_.now()});
+    }
+  }
 
   Simulator& sim_;
   RoceConfig config_;
@@ -323,18 +315,10 @@ class RoceStack {
   SimTime rx_order_cursor_ = 0;
   SimTime tx_order_cursor_ = 0;
 
-  // Telemetry (optional; null when the owning testbed has tracing off).
-  Tracer* tracer_ = nullptr;
-  TrackId tx_track_ = kInvalidTrack;
-  TrackId rx_track_ = kInvalidTrack;
-  TrackId msg_track_ = kInvalidTrack;
+  // Telemetry (set by AttachTelemetry).
+  const Probe* probe_ = &Probe::Off();
   Histogram* write_latency_us_ = nullptr;
   Histogram* read_latency_us_ = nullptr;
-  PcapWriter* capture_ = nullptr;
-  uint32_t capture_tx_if_ = 0;
-  uint32_t capture_rx_if_ = 0;
-  FlowStats* flow_stats_ = nullptr;
-  FlightRecorder* flight_recorder_ = nullptr;
   Auditor* auditor_ = nullptr;
   int host_index_ = 0;
 

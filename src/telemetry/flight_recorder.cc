@@ -123,6 +123,34 @@ FlightRecorder::~FlightRecorder() {
   }
 }
 
+void FlightRecorder::OnProbe(const ProbeEvent& ev) {
+  FlightRecordType type = FlightRecordType::kTx;
+  switch (ev.kind) {
+    case ProbeKind::kNicTx:
+      Record(ev.t, ev.src, FlightRecordType::kTx, ev.opcode, ev.qpn, ev.psn, ev.aux);
+      if (ev.detail != 0) {
+        Record(ev.t, ev.src, FlightRecordType::kNak, ev.detail, ev.qpn, ev.psn, 0);
+      }
+      RecordFrame(ev.t, ev.src, /*tx=*/true, *ev.frame);
+      return;
+    case ProbeKind::kNicRx:
+      Record(ev.t, ev.src, FlightRecordType::kRx, ev.opcode, ev.qpn, ev.psn, ev.aux);
+      RecordFrame(ev.t, ev.src, /*tx=*/false, *ev.frame);
+      return;
+    case ProbeKind::kCnp: type = FlightRecordType::kCnp; break;
+    case ProbeKind::kRetransmit: type = FlightRecordType::kRetransmit; break;
+    case ProbeKind::kTimeout: type = FlightRecordType::kTimeout; break;
+    case ProbeKind::kQpState: type = FlightRecordType::kQpState; break;
+    case ProbeKind::kPeerDead: type = FlightRecordType::kPeerDead; break;
+    case ProbeKind::kReconnectAttempt: type = FlightRecordType::kReconnectAttempt; break;
+    case ProbeKind::kLeaseAcquired: type = FlightRecordType::kLeaseAcquired; break;
+    case ProbeKind::kCrash: type = FlightRecordType::kCrash; break;
+    case ProbeKind::kRestart: type = FlightRecordType::kRestart; break;
+    default: return;
+  }
+  Record(ev.t, ev.src, type, ev.opcode, ev.qpn, ev.psn, ev.aux);
+}
+
 std::vector<FlightRecord> FlightRecorder::HostRecords(int host) const {
   std::vector<FlightRecord> out;
   if (host < 0 || size_t(host) >= rings_.size()) {
@@ -255,13 +283,15 @@ Result<FlightRecordBundle> LoadFlightRecords(const std::string& path) {
   bundle.reason = blob.substr(pos, reason_len);
   pos += reason_len;
   uint32_t num_hosts = 0;
-  if (!GetU32(blob, &pos, &num_hosts)) {
+  // Counts are bounded by the bytes left (4 per host count, 24 per record)
+  // before anything is allocated, so a corrupt count cannot demand gigabytes.
+  if (!GetU32(blob, &pos, &num_hosts) || num_hosts > (blob.size() - pos) / 4) {
     return InvalidArgumentError("'" + path + "': truncated host count");
   }
   bundle.hosts.resize(num_hosts);
   for (uint32_t h = 0; h < num_hosts; ++h) {
     uint32_t count = 0;
-    if (!GetU32(blob, &pos, &count)) {
+    if (!GetU32(blob, &pos, &count) || count > (blob.size() - pos) / sizeof(FlightRecord)) {
       return InvalidArgumentError("'" + path + "': truncated record count");
     }
     bundle.hosts[h].reserve(count);

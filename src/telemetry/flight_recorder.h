@@ -20,8 +20,7 @@
 //
 // `stromtrace --postmortem <stem>` decodes the bundle and cross-checks the
 // event ring against the frame capture. Everything here is off unless a
-// recorder is constructed and attached; attached-but-idle hooks are a single
-// null check.
+// recorder is constructed and subscribed to the run's probe.
 #ifndef SRC_TELEMETRY_FLIGHT_RECORDER_H_
 #define SRC_TELEMETRY_FLIGHT_RECORDER_H_
 
@@ -35,6 +34,7 @@
 #include "src/common/status.h"
 #include "src/sim/time.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/probe.h"
 
 namespace strom {
 
@@ -80,7 +80,7 @@ static_assert(sizeof(FlightRecord) == 24, "FlightRecord must stay compact");
 
 class PcapWriter;
 
-class FlightRecorder {
+class FlightRecorder : public ProbeSubscriber {
  public:
   // `ring_capacity` records are kept per host; `frame_capacity` frames are
   // kept in total, split evenly into per-host rings (at least one slot
@@ -91,6 +91,11 @@ class FlightRecorder {
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
+
+  // Probe subscriber: NIC TX/RX (records plus frame snapshots), NAKs sent,
+  // CNPs, retransmits, timeouts, QP transitions, lease/peer events and
+  // component crashes/restarts. Everything else is ignored.
+  void OnProbe(const ProbeEvent& ev) override;
 
   // Hot path: append one record to `host`'s ring (overwrites the oldest).
   // Inline with a branch (not %) for the wrap: these run per packet.

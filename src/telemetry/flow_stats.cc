@@ -46,54 +46,63 @@ void FlowStats::PushEvent(SimTime now, int host, uint32_t qpn, DcqcnEventKind ki
   timeline_.push_back(ev);
 }
 
-void FlowStats::OnCompletion(SimTime now, int host, uint32_t qpn, uint64_t bytes,
-                             double rtt_us) {
-  QpFlow& flow = Flow(now, host, qpn);
-  ++flow.completions;
-  flow.bytes_completed += bytes;
-  flow.rtt_sum_us += rtt_us;
-  if (flow.completions == 1 || rtt_us < flow.rtt_min_us) {
-    flow.rtt_min_us = rtt_us;
+void FlowStats::OnProbe(const ProbeEvent& ev) {
+  switch (ev.kind) {
+    case ProbeKind::kCompletion: {
+      if (!ev.ok) {
+        return;
+      }
+      const double rtt_us = double(ev.end - ev.begin) / 1e6;
+      QpFlow& flow = Flow(ev.t, ev.src, ev.qpn);
+      ++flow.completions;
+      flow.bytes_completed += ev.bytes;
+      flow.rtt_sum_us += rtt_us;
+      if (flow.completions == 1 || rtt_us < flow.rtt_min_us) {
+        flow.rtt_min_us = rtt_us;
+      }
+      flow.rtt_max_us = std::max(flow.rtt_max_us, rtt_us);
+      return;
+    }
+    case ProbeKind::kRetransmit:
+      ++Flow(ev.t, ev.src, ev.qpn).retransmit_epochs;
+      return;
+    case ProbeKind::kTimeout:
+      ++Flow(ev.t, ev.src, ev.qpn).timeouts;
+      return;
+    case ProbeKind::kCe:
+      ++Flow(ev.t, ev.src, ev.qpn).ce_rx;
+      return;
+    case ProbeKind::kBecnTx:
+      ++Flow(ev.t, ev.src, ev.qpn).becn_tx;
+      return;
+    case ProbeKind::kCnp: {
+      QpFlow& flow = Flow(ev.t, ev.src, ev.qpn);
+      ++flow.cnp_rx;
+      flow.last_alpha = ev.alpha;
+      PushEvent(ev.t, ev.src, ev.qpn, DcqcnEventKind::kCnp, ev.rate_bps, ev.alpha);
+      return;
+    }
+    case ProbeKind::kRateCut:
+    case ProbeKind::kRateIncrease: {
+      const bool cut = ev.kind == ProbeKind::kRateCut;
+      QpFlow& flow = Flow(ev.t, ev.src, ev.qpn);
+      if (cut) {
+        ++flow.rate_cuts;
+      } else {
+        ++flow.rate_increases;
+      }
+      flow.last_rate_gbps = ev.rate_bps / 1e9;
+      flow.last_alpha = ev.alpha;
+      if (flow.min_rate_gbps == 0 || flow.last_rate_gbps < flow.min_rate_gbps) {
+        flow.min_rate_gbps = flow.last_rate_gbps;
+      }
+      PushEvent(ev.t, ev.src, ev.qpn, cut ? DcqcnEventKind::kCut : DcqcnEventKind::kIncrease,
+                ev.rate_bps, ev.alpha);
+      return;
+    }
+    default:
+      return;
   }
-  flow.rtt_max_us = std::max(flow.rtt_max_us, rtt_us);
-}
-
-void FlowStats::OnRetransmit(SimTime now, int host, uint32_t qpn) {
-  ++Flow(now, host, qpn).retransmit_epochs;
-}
-
-void FlowStats::OnTimeout(SimTime now, int host, uint32_t qpn) {
-  ++Flow(now, host, qpn).timeouts;
-}
-
-void FlowStats::OnCe(SimTime now, int host, uint32_t qpn) { ++Flow(now, host, qpn).ce_rx; }
-
-void FlowStats::OnBecnTx(SimTime now, int host, uint32_t qpn) {
-  ++Flow(now, host, qpn).becn_tx;
-}
-
-void FlowStats::OnCnp(SimTime now, int host, uint32_t qpn, double rate_bps, double alpha) {
-  QpFlow& flow = Flow(now, host, qpn);
-  ++flow.cnp_rx;
-  flow.last_alpha = alpha;
-  PushEvent(now, host, qpn, DcqcnEventKind::kCnp, rate_bps, alpha);
-}
-
-void FlowStats::OnRateChange(SimTime now, int host, uint32_t qpn, bool cut, double rate_bps,
-                             double alpha) {
-  QpFlow& flow = Flow(now, host, qpn);
-  if (cut) {
-    ++flow.rate_cuts;
-  } else {
-    ++flow.rate_increases;
-  }
-  flow.last_rate_gbps = rate_bps / 1e9;
-  flow.last_alpha = alpha;
-  if (flow.min_rate_gbps == 0 || flow.last_rate_gbps < flow.min_rate_gbps) {
-    flow.min_rate_gbps = flow.last_rate_gbps;
-  }
-  PushEvent(now, host, qpn, cut ? DcqcnEventKind::kCut : DcqcnEventKind::kIncrease, rate_bps,
-            alpha);
 }
 
 MetricsRegistry::Snapshot FlowStats::Summary() const {

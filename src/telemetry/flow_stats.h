@@ -1,6 +1,6 @@
 // Per-flow statistics engine: rolling per-QP RTT/goodput/retransmit/CNP
 // counters plus a bounded DCQCN state timeline (rate, alpha, cut/recovery
-// events), fed by lightweight hooks in the RoCE stack. One FlowStats lives
+// events), fed by the RoCE stacks' probe events. One FlowStats lives
 // per simulation (Testbed/Fabric owns it alongside the Telemetry bundle), so
 // updates are single-threaded and lock-free; finished runs deposit into a
 // process-wide FlowStatsSink (mutex-guarded, order-keyed like the
@@ -25,10 +25,11 @@
 #include "src/common/status.h"
 #include "src/sim/time.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/probe.h"
 
 namespace strom {
 
-class FlowStats {
+class FlowStats : public ProbeSubscriber {
  public:
   struct QpFlow {
     uint64_t completions = 0;
@@ -66,15 +67,9 @@ class FlowStats {
   explicit FlowStats(size_t timeline_capacity = 65536)
       : timeline_capacity_(timeline_capacity) {}
 
-  // --- hooks (called by the RoCE stack when attached) ---------------------
-  void OnCompletion(SimTime now, int host, uint32_t qpn, uint64_t bytes, double rtt_us);
-  void OnRetransmit(SimTime now, int host, uint32_t qpn);
-  void OnTimeout(SimTime now, int host, uint32_t qpn);
-  void OnCe(SimTime now, int host, uint32_t qpn);
-  void OnBecnTx(SimTime now, int host, uint32_t qpn);
-  void OnCnp(SimTime now, int host, uint32_t qpn, double rate_bps, double alpha);
-  void OnRateChange(SimTime now, int host, uint32_t qpn, bool cut, double rate_bps,
-                    double alpha);
+  // Probe subscriber: completions, retransmits, timeouts, CE/BECN/CNP and
+  // DCQCN rate changes of every host's RoCE stack.
+  void OnProbe(const ProbeEvent& ev) override;
 
   // --- export --------------------------------------------------------------
   // One gauge per (flow, metric): "flow.h<host>.qp<qpn>.<metric>".

@@ -118,10 +118,11 @@ Result<CaptureFile> ParsePcapng(ByteSpan data) {
         }
         const uint64_t ts =
             (static_cast<uint64_t>(ReadU32(body, 4)) << 32) | ReadU32(body, 8);
-        pkt.timestamp = static_cast<SimTime>(ts) * ts_unit_ps[pkt.interface_id];
+        // Unsigned: a hostile timestamp wraps instead of overflowing.
+        pkt.timestamp = static_cast<SimTime>(ts * uint64_t(ts_unit_ps[pkt.interface_id]));
         const uint32_t cap_len = ReadU32(body, 12);
         pkt.orig_len = ReadU32(body, 16);
-        if (20 + cap_len > body.size()) {
+        if (cap_len > body.size() - 20) {
           return InvalidArgumentError("pcapng: EPB data overruns block");
         }
         ByteSpan frame = body.subspan(20, cap_len);

@@ -153,4 +153,72 @@ Status PcapWriter::Close() {
   return status_;
 }
 
+void PcapTap::Add(std::vector<Tap>& taps, int index, PcapWriter* writer,
+                  const std::string& name0, const std::string& name1) {
+  if (taps.size() <= size_t(index)) {
+    taps.resize(size_t(index) + 1);
+  }
+  Tap& tap = taps[size_t(index)];
+  tap.writer = writer;
+  tap.iface[0] = writer->AddInterface(name0);
+  tap.iface[1] = writer->AddInterface(name1);
+}
+
+void PcapTap::TapNic(int host, PcapWriter* writer, const std::string& process) {
+  Add(nic_, host, writer, process + ".nic.tx", process + ".nic.rx");
+}
+
+void PcapTap::TapWire(int link, PcapWriter* writer, const std::string& name) {
+  Add(wire_, link, writer, name + ".0to1", name + ".1to0");
+}
+
+void PcapTap::OnProbe(const ProbeEvent& ev) {
+  const bool nic = ev.kind == ProbeKind::kNicTx || ev.kind == ProbeKind::kNicRx ||
+                   ev.kind == ProbeKind::kNicRxDrop;
+  const bool wire = ev.kind >= ProbeKind::kWireSend;
+  const std::vector<Tap>& taps = nic ? nic_ : wire_;
+  if (!(nic || wire) || size_t(ev.src) >= taps.size() || taps[size_t(ev.src)].writer == nullptr) {
+    return;
+  }
+  const Tap& tap = taps[size_t(ev.src)];
+  std::string comment;
+  auto note = [&comment](const std::string& word) {
+    if (!comment.empty()) {
+      comment += ' ';
+    }
+    comment += word;
+  };
+  switch (ev.kind) {
+    case ProbeKind::kNicRxDrop:
+      note(ev.detail == kRxDropIcrc ? "rx_drop=icrc" : "rx_drop=malformed");
+      break;
+    case ProbeKind::kWireSend:
+      if (ev.detail & kWireCorrupted) {
+        note("corrupted");
+      }
+      if (ev.detail & kWireDelayed) {
+        note("delayed");
+      }
+      break;
+    case ProbeKind::kWireDrop:
+      note("dropped");
+      break;
+    case ProbeKind::kWireDuplicate:
+      note("duplicated");
+      break;
+    case ProbeKind::kWireOversize:
+      note("oversize");
+      break;
+    default:
+      break;
+  }
+  // Duplicates and oversize frames are fault artifacts: no trace id.
+  if (ev.trace.sampled() && ev.kind != ProbeKind::kWireDuplicate &&
+      ev.kind != ProbeKind::kWireOversize) {
+    note("trace_id=" + std::to_string(ev.trace.id));
+  }
+  const bool second = nic ? ev.kind != ProbeKind::kNicTx : ev.side == 1;
+  tap.writer->WritePacket(tap.iface[second ? 1 : 0], ev.t, *ev.frame, comment);
+}
+
 }  // namespace strom

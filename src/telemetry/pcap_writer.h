@@ -12,10 +12,12 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
 #include "src/sim/time.h"
+#include "src/telemetry/probe.h"
 
 namespace strom {
 
@@ -58,6 +60,34 @@ class PcapWriter {
   Status status_;
   size_t interface_count_ = 0;
   uint64_t packets_written_ = 0;
+};
+
+// The probe's pcapng subscriber. A NIC tap records every frame at the RoCE
+// stack boundary: "<process>.nic.tx" as encoded (pre-wire), "<process>.nic.rx"
+// as it arrives (post-wire, before parsing), so diffing the two against the
+// link capture separates stack bugs from wire faults. A link tap records
+// every frame entering either direction ("<name>.0to1" / "<name>.1to0"),
+// dropped, corrupted and oversize ones included, so the file shows what was
+// put on the wire, not what survived it. Link fate, RX drop cause and trace
+// ids ride in each packet's opt_comment. Register every tap before traffic
+// (interfaces precede packets).
+class PcapTap : public ProbeSubscriber {
+ public:
+  void TapNic(int host, PcapWriter* writer, const std::string& process);
+  void TapWire(int link, PcapWriter* writer, const std::string& name);
+
+  void OnProbe(const ProbeEvent& ev) override;
+
+ private:
+  struct Tap {
+    PcapWriter* writer = nullptr;
+    uint32_t iface[2] = {0, 0};  // nic: tx, rx; wire: side 0, side 1
+  };
+  static void Add(std::vector<Tap>& taps, int index, PcapWriter* writer,
+                  const std::string& name0, const std::string& name1);
+
+  std::vector<Tap> nic_;
+  std::vector<Tap> wire_;
 };
 
 }  // namespace strom

@@ -1,7 +1,7 @@
-// Telemetry bundle: one per simulation (the Testbed owns one and attaches
-// it to every component), plus a process-wide collector that harvests
-// finished runs so bench binaries can export a single trace/metrics file
-// covering every testbed they built.
+// Telemetry bundle: one per simulation (the topology owns one and attaches
+// it to every component; probe.h describes the event probe inside it), plus
+// a process-wide collector that harvests finished runs so bench binaries can
+// export a single trace/metrics file covering every testbed they built.
 #ifndef SRC_TELEMETRY_TELEMETRY_H_
 #define SRC_TELEMETRY_TELEMETRY_H_
 
@@ -13,15 +13,22 @@
 #include "src/common/status.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/probe.h"
 #include "src/telemetry/sampler.h"
 #include "src/telemetry/trace.h"
 
 namespace strom {
 
 struct Telemetry {
+  Telemetry() { probe.SubscribeSampled(&spans); }
+  Telemetry(const Telemetry&) = delete;
+  Telemetry& operator=(const Telemetry&) = delete;
+
   MetricsRegistry metrics;
   Tracer tracer;
   TimeSeriesSampler sampler;
+  Probe probe;
+  ProbeSpans spans{tracer};
 };
 
 // Accumulates the telemetry of completed simulation runs. Deposits are

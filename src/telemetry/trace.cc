@@ -33,4 +33,49 @@ void Tracer::Clear() {
   next_trace_id_ = 1;
 }
 
+void ProbeSpans::AddNic(int host, const std::string& process) {
+  if (nic_.size() <= size_t(host)) {
+    nic_.resize(size_t(host) + 1, {kInvalidTrack, kInvalidTrack, kInvalidTrack});
+  }
+  nic_[size_t(host)] = {tracer_.RegisterTrack(process, "nic.tx"),
+                        tracer_.RegisterTrack(process, "nic.rx"),
+                        tracer_.RegisterTrack(process, "nic.msg")};
+}
+
+void ProbeSpans::AddWire(int link, const std::string& process) {
+  if (wire_.size() <= size_t(link)) {
+    wire_.resize(size_t(link) + 1, {kInvalidTrack, kInvalidTrack});
+  }
+  wire_[size_t(link)] = {tracer_.RegisterTrack(process, "wire 0->1"),
+                         tracer_.RegisterTrack(process, "wire 1->0")};
+}
+
+void ProbeSpans::OnProbe(const ProbeEvent& ev) {
+  const size_t src = size_t(ev.src);
+  switch (ev.kind) {
+    case ProbeKind::kNicTx:
+      if (src < nic_.size()) {
+        tracer_.Span(ev.trace, nic_[src][0], std::string("tx:") + ev.label, ev.begin, ev.end);
+      }
+      break;
+    case ProbeKind::kNicRx:
+      if (src < nic_.size()) {
+        tracer_.Span(ev.trace, nic_[src][1], std::string("rx:") + ev.label, ev.begin, ev.end);
+      }
+      break;
+    case ProbeKind::kCompletion:
+      if (src < nic_.size()) {
+        tracer_.Span(ev.trace, nic_[src][2], ev.label, ev.begin, ev.end);
+      }
+      break;
+    case ProbeKind::kWireSend:
+      if (src < wire_.size()) {
+        tracer_.Span(ev.trace, wire_[src][size_t(ev.side)], "wire", ev.begin, ev.end);
+      }
+      break;
+    default:
+      break;
+  }
+}
+
 }  // namespace strom

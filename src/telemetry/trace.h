@@ -11,11 +11,13 @@
 #ifndef SRC_TELEMETRY_TRACE_H_
 #define SRC_TELEMETRY_TRACE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/sim/time.h"
+#include "src/telemetry/probe.h"
 #include "src/telemetry/trace_context.h"
 
 namespace strom {
@@ -81,6 +83,27 @@ class Tracer {
   uint64_t next_trace_id_ = 1;
   std::vector<Track> tracks_;
   std::vector<Event> events_;
+};
+
+// The probe's span subscriber: "nic.tx" / "nic.rx" pipeline spans and
+// "nic.msg" message spans per host, and one "wire" span per frame and
+// direction on every link registered here. Subscribed for sampled traces
+// only (Telemetry wires it), so it costs nothing while tracing is off.
+class ProbeSpans : public ProbeSubscriber {
+ public:
+  explicit ProbeSpans(Tracer& tracer) : tracer_(tracer) {}
+
+  // Register the tracks of host `host` / link `link` under `process`, at
+  // the component's telemetry attach so the track order is stable.
+  void AddNic(int host, const std::string& process);
+  void AddWire(int link, const std::string& process);
+
+  void OnProbe(const ProbeEvent& ev) override;
+
+ private:
+  Tracer& tracer_;
+  std::vector<std::array<TrackId, 3>> nic_;   // by host: tx, rx, msg
+  std::vector<std::array<TrackId, 2>> wire_;  // by link: side 0, side 1
 };
 
 }  // namespace strom

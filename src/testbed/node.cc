@@ -23,13 +23,9 @@ void Node::AttachTelemetry(Telemetry* telemetry, int index) {
   const std::string process = "node" + std::to_string(index);
   driver_.AttachTelemetry(telemetry, process);
   controller_.AttachTelemetry(telemetry, process);
-  stack_.AttachTelemetry(telemetry, process);
+  stack_.AttachTelemetry(telemetry, process, index);
   engine_.AttachTelemetry(telemetry, process);
   dma_.AttachTelemetry(telemetry, process);
-}
-
-void Node::AttachCapture(PcapWriter* writer, int index) {
-  stack_.AttachCapture(writer, "node" + std::to_string(index));
 }
 
 void Node::AttachSampler(Telemetry* telemetry, int index) {

@@ -31,11 +31,9 @@ class Node {
   Ipv4Addr ip() const { return ip_; }
   const MacAddr& mac() const { return mac_; }
 
-  // Attaches every component under the process name "node<index>".
+  // Attaches every component under the process name "node<index>"; the
+  // RoCE stack reports probe events and audit violations as host `index`.
   void AttachTelemetry(Telemetry* telemetry, int index);
-
-  // Taps the NIC TX/RX boundary into `writer` (see RoceStack::AttachCapture).
-  void AttachCapture(PcapWriter* writer, int index);
 
   // Registers queue/occupancy probes of every component with the sampler.
   void AttachSampler(Telemetry* telemetry, int index);

@@ -134,7 +134,6 @@ void YcsbEngine::EnableCrashRecovery(const LivenessConfig& liveness) {
       };
       monitor->AddPeer(j, probe, reconnect);
     }
-    monitor->AttachFlightRecorder(fabric_.flight_recorder());
     monitor->AttachTelemetry(&fabric_.telemetry(), "node" + std::to_string(i));
     liveness_.push_back(std::move(monitor));
   }

@@ -233,5 +233,34 @@ TEST(Audit, ExpectCountsChecksAndViolations) {
   EXPECT_EQ(auditor.violations(), 1u);
 }
 
+// With an auditor and no other sink, a PSN violation must still name the
+// stack that saw it. A READ of 4 GiB - 1 at a 512-byte payload MTU spans
+// exactly half the 24-bit PSN space, so the responder's ePSN "advance" reads
+// as a step backwards: the inline ePSN audit fires on host 2, the responder.
+TEST(Audit, PsnViolationNamesTheReportingHost) {
+  DefaultsGuard guard;
+  Auditor auditor(Auditor::Mode::kWarn);
+  Testbed::telemetry_defaults = TestbedTelemetryDefaults{};
+  Testbed::telemetry_defaults.auditor = &auditor;
+  Profile profile = Profile10G();
+  profile.roce.ip_mtu = 572;  // RoCE payload per packet: 512 bytes
+  profile.link.ip_mtu = 572;
+  FabricTopologyConfig topo;
+  topo.num_hosts = 3;
+  std::string log;
+  {
+    Fabric fabric(profile, topo);
+    fabric.ConnectQp(0, kQp, 2, kQp);
+    const VirtAddr local = fabric.node(0).driver().AllocBuffer(MiB(1))->addr;
+    const VirtAddr remote = fabric.node(2).driver().AllocBuffer(MiB(1))->addr;
+    ::testing::internal::CaptureStderr();
+    fabric.node(0).driver().PostRead(kQp, local, remote, 0xFFFFFFFFu);
+    fabric.sim().RunUntil([&] { return auditor.violations() > 0; });
+    log = ::testing::internal::GetCapturedStderr();
+  }
+  ASSERT_GT(auditor.violations(), 0u);
+  EXPECT_NE(log.find("host2 qp1 epsn did not advance"), std::string::npos) << log;
+}
+
 }  // namespace
 }  // namespace strom

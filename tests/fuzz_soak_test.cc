@@ -1,12 +1,21 @@
 // Robustness: parser fuzzing (arbitrary bytes must never crash the frame
-// parsers) and fault-injection soak runs (random loss/corruption on both
-// directions under mixed traffic must still deliver everything correctly).
+// parsers or the decoders of the flight-recorder bundle and pcapng files the
+// telemetry subscribers write) and fault-injection soak runs (random
+// loss/corruption on both directions under mixed traffic must still deliver
+// everything correctly).
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "src/kernels/traversal.h"
 #include "src/kvs/linked_list.h"
 #include "src/proto/packet.h"
 #include "src/tcp/segment.h"
+#include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/pcap_reader.h"
+#include "src/telemetry/pcap_writer.h"
 #include "src/testbed/testbed.h"
 #include "src/testbed/workload.h"
 
@@ -95,6 +104,148 @@ TEST(ParserFuzz, TraversalParamsDecodeNeverCrashes) {
     (void)TraversalParams::Decode(raw);
   }
   SUCCEED();
+}
+
+// Decoder fuzzing for the telemetry files. Seeds are real outputs: a
+// flight-recorder bundle with TX/RX/NAK/CNP records and frame snapshots, and
+// a pcapng capture with trace/fault comments. Each case applies one
+// mutation — byte flips, a truncation, or a length/count field overwritten
+// with an extreme value — and the decoder must return (ok or an error)
+// without crashing, reading out of bounds or allocating unbounded memory;
+// the ASan/UBSan job runs these.
+
+ByteBuffer ReadAll(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return ByteBuffer((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
+}
+
+ByteBuffer Mutate(const ByteBuffer& seed, Rng& rng) {
+  ByteBuffer out = seed;
+  switch (rng.Below(4)) {
+    case 0: {  // byte flips
+      const int flips = 1 + static_cast<int>(rng.Below(4));
+      for (int f = 0; f < flips; ++f) {
+        out[rng.Below(out.size())] ^= static_cast<uint8_t>(1 + rng.Below(255));
+      }
+      break;
+    }
+    case 1:  // truncation
+      out.resize(rng.Below(out.size()));
+      break;
+    case 2: {  // one aligned 32-bit field set to an extreme value
+      const size_t pos = rng.Below(out.size() / 4) * 4;
+      const uint32_t values[] = {0, 1, 0x7FFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFF0u,
+                                 static_cast<uint32_t>(rng.Next())};
+      const uint32_t v = values[rng.Below(6)];
+      for (size_t b = 0; b < 4 && pos + b < out.size(); ++b) {
+        out[pos + b] = static_cast<uint8_t>(v >> (8 * b));
+      }
+      break;
+    }
+    default: {  // garbage appended
+      const ByteBuffer tail = RandomBytes(1 + rng.Below(64), rng.Next());
+      out.insert(out.end(), tail.begin(), tail.end());
+      break;
+    }
+  }
+  return out;
+}
+
+FrameBuf SeedFrame(IbOpcode opcode, Psn psn) {
+  RocePacket pkt;
+  pkt.src_ip = MakeIp(10, 0, 0, 1);
+  pkt.dst_ip = MakeIp(10, 0, 0, 2);
+  pkt.bth.opcode = opcode;
+  pkt.bth.dest_qp = 3;
+  pkt.bth.psn = psn;
+  if (opcode == IbOpcode::kAck) {
+    AethHeader aeth;
+    aeth.syndrome = AckSyndrome::kNakSequenceError;
+    pkt.aeth = aeth;
+  } else {
+    RethHeader reth;
+    reth.virt_addr = 0x2000;
+    reth.dma_length = 256;
+    pkt.reth = reth;
+    pkt.payload = FrameBuf::Adopt(RandomBytes(256, psn));
+  }
+  return EncodeRoceFrame(MacAddr{2, 0, 0, 0, 0, 1}, MacAddr{2, 0, 0, 0, 0, 2}, pkt);
+}
+
+// Writes a small two-host bundle; returns its stem.
+std::string WriteSeedBundle() {
+  const std::string stem = ::testing::TempDir() + "/fuzz_seed_bundle";
+  FlightRecorder recorder(2, /*ring_capacity=*/16, /*frame_capacity=*/8);
+  for (uint32_t i = 0; i < 6; ++i) {
+    const int host = int(i % 2);
+    const FrameBuf frame = SeedFrame(i % 3 == 2 ? IbOpcode::kAck : IbOpcode::kWriteOnly, i);
+    recorder.Record(Us(i), host, FlightRecordType::kTx, uint8_t(IbOpcode::kWriteOnly), 3, i,
+                    uint32_t(frame.size()));
+    recorder.RecordFrame(Us(i), host, /*tx=*/true, frame);
+    recorder.Record(Us(i) + 10, host, FlightRecordType::kCnp, 0, 3, i, 1000);
+  }
+  EXPECT_TRUE(recorder.Dump(stem, "fuzz seed").ok());
+  return stem;
+}
+
+TEST(TelemetryDecoderFuzz, MutatedFlightRecordBundlesNeverCrash) {
+  const std::string stem = WriteSeedBundle();
+  const ByteBuffer seed = ReadAll(stem + ".flightrec.bin");
+  ASSERT_FALSE(seed.empty());
+  ASSERT_TRUE(LoadFlightRecords(stem + ".flightrec.bin").ok());
+  const std::string path = ::testing::TempDir() + "/fuzz_mutated.flightrec.bin";
+  Rng rng(6);
+  int accepted = 0;
+  for (int i = 0; i < 2'000; ++i) {
+    const ByteBuffer mutated = Mutate(seed, rng);
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(reinterpret_cast<const char*>(mutated.data()), std::streamsize(mutated.size()));
+    }
+    Result<FlightRecordBundle> bundle = LoadFlightRecords(path);
+    if (bundle.ok()) {
+      ++accepted;
+      size_t records = 0;
+      for (const auto& host : bundle->hosts) {
+        records += host.size();
+      }
+      // Every decoded record was backed by 24 bytes of the file.
+      EXPECT_LE(records * sizeof(FlightRecord), mutated.size());
+    }
+  }
+  EXPECT_GT(accepted, 0) << "payload-only flips should still decode";
+}
+
+TEST(TelemetryDecoderFuzz, MutatedPcapngCapturesNeverCrash) {
+  const std::string stem = WriteSeedBundle();
+  const std::string capture_path = ::testing::TempDir() + "/fuzz_seed_capture.pcapng";
+  {
+    PcapWriter writer(capture_path);
+    const uint32_t tx = writer.AddInterface("node0.nic.tx");
+    const uint32_t wire = writer.AddInterface("wire.0to1");
+    for (uint32_t i = 0; i < 4; ++i) {
+      const FrameBuf frame = SeedFrame(IbOpcode::kWriteOnly, 100 + i);
+      writer.WritePacket(tx, Us(i), frame, "trace_id=" + std::to_string(i + 1));
+      writer.WritePacket(wire, Us(i) + 5, frame, i % 2 == 0 ? "corrupted delayed" : "");
+    }
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  for (const std::string& path : {stem + ".frames.pcapng", capture_path}) {
+    SCOPED_TRACE(path);
+    const ByteBuffer seed = ReadAll(path);
+    ASSERT_TRUE(ParsePcapng(seed).ok());
+    Rng rng(7);
+    for (int i = 0; i < 5'000; ++i) {
+      const ByteBuffer mutated = Mutate(seed, rng);
+      Result<CaptureFile> parsed = ParsePcapng(mutated);
+      if (parsed.ok()) {
+        for (const CapturedPacket& pkt : parsed->packets) {
+          EXPECT_LT(pkt.interface_id, parsed->interfaces.size());
+          EXPECT_LE(pkt.data.size(), mutated.size());
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
